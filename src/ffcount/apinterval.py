@@ -140,11 +140,11 @@ def _euler_product_classes(group, counts, N: int, K: int, slot: int):
             binom = [1]
             for j in range(1, jmax + 1):
                 binom.append(binom[-1] * (cnt - j + 1) // j)
-            inv_c = group.inv(c_idx)
             # src[j][v] = v * c^(-j), the class whose table feeds slot j
+            step = group.translation(group.inv(c_idx))
             src = [list(range(order))]
             for _ in range(jmax):
-                src.append([group.mul(v, inv_c) for v in src[-1]])
+                src.append([step[v] for v in src[-1]])
             for n in range(N, dp - 1, -1):
                 jm = min(n // dp, jmax)
                 for v in range(order):

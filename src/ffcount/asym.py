@@ -34,8 +34,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .algebra import FieldSpec, Poly, factor_stats, irreducible_count, phi_poly
-from .exactcount import rising_factorial_over_factorial
+from .algebra import Poly, factor_stats, irreducible_count, phi_poly
+from .exactcount import _coerce_q, rising_factorial_over_factorial
 
 __all__ = [
     "AnalyticConfig",
@@ -173,15 +173,6 @@ class AnalyticConfig:
 
 
 DEFAULT_CONFIG = AnalyticConfig()
-
-
-def _coerce_q(q) -> int:
-    if isinstance(q, FieldSpec):
-        return q.q
-    q = int(q)
-    if q < 2:
-        raise ValueError("q must be at least 2")
-    return q
 
 
 def truncation_depth(q, cfg: AnalyticConfig | None = None, bound: float | None = None) -> int:

@@ -11,8 +11,16 @@ Representation conventions used throughout this module:
   maximal-order element, passing to the quotient, recursing, and lifting
   each quotient generator v by a power of the chosen u so its order is
   preserved (v^m lands in <u> as u^t with m | t, so v u^(-t/m) works).
-  Construction validates itself by regenerating all elements from the
-  basis, which doubles as the discrete-log table.
+  Construction validates itself by checking g_i^(n_i) = 1 for every
+  generator and regenerating all elements from the basis, which doubles
+  as the discrete-log table.
+* Group arithmetic runs on indices.  Once the basis is validated, mul,
+  pow, inv and element_order add, scale or inspect discrete-log vectors
+  modulo the basis orders and look the result up by its mixed-radix code
+  (the position of the vector in lexicographic order); translation gives
+  v -> v * u for all v at once as one shift of every vector.  Polynomial
+  multiply-and-reduce runs only during construction, before the table
+  exists.
 * A character is an exponent vector against the basis: its value on
   generator i is the order-n_i root of unity raised to exponents[i].
   Values stay exact (integers modulo the group exponent E) until a caller
@@ -35,6 +43,7 @@ from functools import lru_cache
 from itertools import product as _iproduct
 
 from .algebra import (
+    DEFAULT_ENUM_BUDGET,
     Poly,
     enumerate_irreducibles,
     enumerate_monics,
@@ -123,6 +132,17 @@ def root_unity_sum_is_zero(counts, order: int) -> bool:
     return all(v == 0 for v in rem[:deg])
 
 
+def _power(mul, identity, x, t: int):
+    """x^t for t >= 0 by square-and-multiply under the group law mul."""
+    acc = identity
+    while t:
+        if t & 1:
+            acc = mul(acc, x)
+        x = mul(x, x)
+        t >>= 1
+    return acc
+
+
 class UnitGroup:
     """Multiplicative group of residues coprime to a monic modulus."""
 
@@ -152,7 +172,6 @@ class UnitGroup:
         self._index = index
         self.identity_index = index[(1,)]
         self.structure: tuple[tuple[Poly, int], ...] = ()
-        self._dlog: dict[int, tuple[int, ...]] = {}
         self._build_structure()
         self.exponent = 1
         for _, n in self.structure:
@@ -183,44 +202,60 @@ class UnitGroup:
         return idx
 
     def mul(self, i: int, j: int) -> int:
-        r = (self.elements[i] * self.elements[j]) % self.d
-        return self._index[r.coeffs]
+        code = 0
+        for a, b, n in zip(self._dlog[i], self._dlog[j], self._orders):
+            code = code * n + (a + b) % n
+        return self._by_code[code]
 
     def pow(self, i: int, t: int) -> int:
-        t %= self.order
-        out = self.identity_index
-        base = i
-        while t:
-            if t & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            t >>= 1
-        return out
+        code = 0
+        for a, n in zip(self._dlog[i], self._orders):
+            code = code * n + a * t % n
+        return self._by_code[code]
 
     def inv(self, i: int) -> int:
-        return self.pow(i, self.order - 1)
+        return self.pow(i, -1)
 
     def element_order(self, i: int) -> int:
-        e = self.order
-        for p in _int_factorization(self.order):
-            while e % p == 0 and self.pow(i, e // p) == self.identity_index:
-                e //= p
+        e = 1
+        for a, n in zip(self._dlog[i], self._orders):
+            e = _lcm(e, n // math.gcd(a, n))
         return e
+
+    def translation(self, i: int) -> list[int]:
+        """The map v -> v * i on all indices, as one shift of every dlog vector."""
+        shifted = [0]
+        for a, n in zip(self._dlog[i], self._orders):
+            digits = [(s + a) % n for s in range(n)]
+            shifted = [c * n + s for c in shifted for s in digits]
+        by_code = self._by_code
+        return [by_code[shifted[c]] for c in self._code]
 
     def dlog(self, i: int) -> tuple[int, ...]:
         """Exponent vector of element i against the basis."""
         return self._dlog[i]
 
+    def _poly_mul(self, i: int, j: int) -> int:
+        r = (self.elements[i] * self.elements[j]) % self.d
+        return self._index[r.coeffs]
+
     def _build_structure(self):
-        basis = self._extract_basis(list(range(self.order)),
-                                    lambda a, b: self.mul(a, b),
-                                    self.identity_index,
-                                    self.order)
+        one = self.identity_index
+        basis = self._extract_basis(list(range(self.order)), self._poly_mul,
+                                    one, self.order)
         self.structure = tuple((self.elements[i], n) for i, n in basis)
-        # regenerate the whole group from the basis; this both validates the
-        # direct-product property and fills the discrete-log table
-        dlog: dict[int, tuple[int, ...]] = {}
-        combos = [(self.identity_index, ())]
+        # index arithmetic adds dlog vectors modulo the basis orders, which
+        # is sound only if g_i^(n_i) = 1 for every generator and the basis
+        # regenerates the group bijectively; check both with polynomials
+        for gi, n in basis:
+            if _power(self._poly_mul, one, gi, n) != one:
+                raise ConsistencyError(
+                    f"unit group basis generator does not have order {n}")
+        # regenerate the whole group from the basis; this validates the
+        # direct-product property and fills the discrete-log table, and the
+        # position of an element in this lexicographic order of exponent
+        # vectors is the mixed-radix code that index arithmetic looks up
+        combos = [(one, ())]
         for gi, n in basis:
             nxt = []
             for start, vec in combos:
@@ -228,14 +263,20 @@ class UnitGroup:
                 for t in range(n):
                     nxt.append((cur, vec + (t,)))
                     if t < n - 1:
-                        cur = self.mul(cur, gi)
+                        cur = self._poly_mul(cur, gi)
             combos = nxt
-        for idx, vec in combos:
-            if idx in dlog:
+        dlog: list = [None] * self.order
+        code = [0] * self.order
+        for c, (idx, vec) in enumerate(combos):
+            if dlog[idx] is not None:
                 raise ConsistencyError("unit group basis is not independent")
             dlog[idx] = vec
-        if len(dlog) != self.order:
+            code[idx] = c
+        if len(combos) != self.order:
             raise ConsistencyError("unit group basis does not span the group")
+        self._orders = tuple(n for _, n in basis)
+        self._by_code = [idx for idx, _ in combos]
+        self._code = code
         self._dlog = dlog
 
     @staticmethod
@@ -252,15 +293,7 @@ class UnitGroup:
             e = size
             for p in _int_factorization(size):
                 while e % p == 0:
-                    y = x
-                    t = e // p
-                    acc = identity
-                    while t:
-                        if t & 1:
-                            acc = mul(acc, y)
-                        y = mul(y, y)
-                        t >>= 1
-                    if acc != identity:
+                    if _power(mul, identity, x, e // p) != identity:
                         break
                     e //= p
             return e
@@ -299,14 +332,7 @@ class UnitGroup:
         for qgen, n in sub:
             v = reps[qgen]
             # v^n lies in <best> as best^t with n | t; correct by best^(-t/n)
-            vn = identity
-            y, t = v, n
-            while t:
-                if t & 1:
-                    vn = mul(vn, y)
-                y = mul(y, y)
-                t >>= 1
-            tpow = powers.index(vn)
+            tpow = powers.index(_power(mul, identity, v, n))
             assert tpow % n == 0
             shift = (-(tpow // n)) % best_ord
             adj = v
@@ -323,7 +349,8 @@ class UnitGroup:
         not units).  Cached per degree.  method "direct" reduces every
         enumerated irreducible, "class" uses the Newton recurrence on the
         class-refined zeta coefficients, and "auto" enumerates only when
-        the total number of irreducibles is within the cap.
+        the total number of irreducibles is within the cap and the sieve
+        over all q^max_degree monics fits the enumeration budget.
         """
         if max_degree < 0:
             raise ValueError("max_degree must be nonnegative")
@@ -338,7 +365,10 @@ class UnitGroup:
                 total += irreducible_count(self.q, n)
                 if total > DEFAULT_IRREDUCIBLE_CAP:
                     break
-            mode = "direct" if total <= DEFAULT_IRREDUCIBLE_CAP else "class"
+            sieve_limit = DEFAULT_ENUM_BUDGET if budget is None else budget
+            fits = (total <= DEFAULT_IRREDUCIBLE_CAP
+                    and self.q ** max(missing) <= sieve_limit)
+            mode = "direct" if fits else "class"
         if mode == "direct":
             for n in missing:
                 counts: dict[int, int] = {}
@@ -376,7 +406,7 @@ def _newton_class_counts(group: UnitGroup, N: int):
             "class-count method needs a full multiplication table; "
             f"group order {order} exceeds {MAX_CLASS_METHOD_ORDER}")
     q, m, id0 = group.q, group.m, group.identity_index
-    multab = [[group.mul(u, v) for v in range(order)] for u in range(order)]
+    multab = [group.translation(u) for u in range(order)]
     zrows = []
     for n in range(min(m, N + 1)):
         row = [0] * order

@@ -98,15 +98,47 @@ def test_group_order_matches_phi_and_local_factors():
 
 
 def test_group_multiplication_and_inverse():
-    g = unit_group(_p(F3, "1,0,1"))
-    rng = random.Random(7)
-    for _ in range(60):
-        i = rng.randrange(g.order)
-        j = rng.randrange(g.order)
-        prod = (g.elements[i] * g.elements[j]) % g.d
-        assert g.elements[g.mul(i, j)] == prod
-        assert g.mul(i, g.inv(i)) == g.identity_index
-    assert g.pow(g.identity_index, 5) == g.identity_index
+    # the group law runs on discrete-log indices; polynomial multiply-and-
+    # reduce is the reference on a cyclic group (irreducible modulus), a
+    # non-cyclic one (X^4 over F_2 is Z4 x Z2), a modulus with a repeated
+    # factor ((X+1)^2 (X+2) over F_3) and one over F_4
+    cases = ((F3, "1,0,1", [8]), (F2, "0,0,0,0,1", [4, 2]),
+             (F3, "2,2,1,1", [6, 2]), (F4, "1,0,1", [6, 2]))
+    for fld, d_text, orders in cases:
+        g = unit_group(_p(fld, d_text))
+        assert [n for _, n in g.structure] == orders
+        one = Poly.one(fld)
+        els = g.elements
+        for i in range(g.order):
+            shift = g.translation(i)
+            for j in range(g.order):
+                prod = (els[i] * els[j]) % g.d
+                assert els[g.mul(i, j)] == prod
+                assert els[shift[j]] == prod
+            assert (els[i] * els[g.inv(i)]) % g.d == one
+            power, first_one = one, None
+            for t in range(g.order + 2):
+                assert els[g.pow(i, t)] == power
+                if t and power == one and first_one is None:
+                    first_one = t
+                power = (power * els[i]) % g.d
+            assert g.element_order(i) == first_one
+            assert g.pow(i, -1) == g.inv(i)
+        assert g.pow(g.identity_index, 5) == g.identity_index
+
+
+def test_basis_with_wrong_generator_order_is_rejected(monkeypatch):
+    d = _p(F2, "0,0,0,1")
+    # 1+X and 1+X^2 regenerate all four units mod X^3 as a product of two
+    # spans of size 2, but 1+X has order 4, so index arithmetic on that
+    # basis would claim (1+X)^2 = 1
+    good = UnitGroup(d)
+    assert good.elements[1] == _p(F2, "1,1")
+    assert good.elements[2] == _p(F2, "1,0,1")
+    monkeypatch.setattr(UnitGroup, "_extract_basis",
+                        staticmethod(lambda *args: [(1, 2), (2, 2)]))
+    with pytest.raises(ConsistencyError, match="order 2"):
+        UnitGroup(d)
 
 
 def test_dlog_regenerates_elements():
@@ -405,6 +437,14 @@ def test_twisted_dz_sum_rejects_principal():
         twisted_dz_sum(characters(g)[0], 3, 1)
     with pytest.raises(ValueError):
         twisted_dz_sum(characters(g)[1], -1, 1)
+
+
+def test_auto_method_avoids_a_sieve_past_the_enumeration_budget():
+    # about 4e5 irreducibles of degree <= 14 over F_3 are under the cap,
+    # but the sieve behind them walks 3^14 monics, over the budget
+    d = _p(F3, "1,1")
+    auto = UnitGroup(d).irreducible_classes(14)
+    assert auto == UnitGroup(d).irreducible_classes(14, method="class")
 
 
 def test_irreducible_classes_partition_totals():

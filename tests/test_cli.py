@@ -180,6 +180,18 @@ def test_ap_method_flag_same_report(capsys):
     assert reports[0] == reports[1]
 
 
+def test_ap_auto_method_does_not_exit_3_past_the_sieve_budget(capsys):
+    # the sieve for 3^14 monics is over the budget, so auto must not pick it
+    base = ["ap", "--q", "3", "--d", "1,1", "--g", "1", "--n", "14", "--k", "3"]
+    reports = []
+    for extra in ([], ["--method", "class"]):
+        code, out, _ = run_cli(capsys, base + extra)
+        assert code == 0
+        reports.append(out)
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0])["exact"] == "396430"
+
+
 def test_interval_matches_enumeration(capsys):
     code, out, _ = run_cli(
         capsys,
