@@ -6,24 +6,26 @@ Representation conventions used throughout this module:
   coeff[u][n][k] = number of squarefree monic polynomials of degree n with
   exactly k distinct irreducible factors, all coprime to d, lying in the
   class u.  Row 0 is the empty product: coeff[identity][0][0] = 1.
-* Tables are built as one packed big integer per (unit, degree) with
-  (K+1) slots of slot_bits(q, N) bits, the same layout as the global
-  counting tables; every slot value is a genuine count bounded by q^N, so
-  no slot ever carries into its neighbor.
-* The builder multiplies out the product over irreducibles p not dividing
+* Tables are built by exactcount.euler_product_packed, the kernel of the
+  global counting tables, on the unit group mod d: one packed big integer
+  per (unit, degree) with (K+1) slots of slot_bits(q, N) bits; every slot
+  value is a genuine count bounded by q^N, so no slot ever carries into
+  its neighbor.
+* The kernel multiplies out the product over irreducibles p not dividing
   d of (1 + z T^deg(p) e_[p]) where e_[p] is the basis vector of the class
   of p.  Irreducibles with equal degree and equal residue class contribute
   identically, so the product is taken class by class with exact binomial
-  weights.  Class sizes come either from per-irreducible enumeration
-  ("direct") or, for degrees far beyond enumeration range, from a Newton
-  recurrence on the class-refined zeta coefficients followed by exact
-  prime-power inversion ("class").
+  weights.  Class sizes come from a Newton recurrence on the class-refined
+  zeta coefficients followed by exact prime-power inversion; bucketing
+  enumerated irreducibles ("direct") stays as its oracle.
 * Interval counts reduce to progression counts through coefficient
   reversal: monic f of degree n with f(0) = a corresponds to the monic
   polynomial a^{-1} f* where f*(X) = X^n f(1/X), and the condition
   deg(f - g) <= h becomes a congruence modulo X^(n-h).  Polynomials with
   f(0) = 0 are handled by stripping one factor of X, which lowers the
-  degree and factor count by one.
+  degree and factor count by one.  interval_progressions is the one place
+  that builds these terms; the exact and the character paths both sum
+  over them.
 """
 
 from __future__ import annotations
@@ -39,25 +41,21 @@ from .algebra import (
     involute,
     poly_gcd,
 )
-from .characters import (
-    DEFAULT_IRREDUCIBLE_CAP,
-    characters,
-    twisted_series,
-    unit_group,
-)
+from .characters import characters, twisted_series, unit_group
 from .errors import BudgetExceededError, ConsistencyError
-from .exactcount import byte_budget, max_omega, slot_bits
+from .exactcount import byte_budget, euler_product_packed, max_omega, slot_bits
 
 __all__ = [
     "APQuery",
-    "DEFAULT_IRREDUCIBLE_CAP",
     "GroupSeries",
     "IntervalQuery",
     "ap_enumerate",
     "ap_series",
     "interval_enumerate",
+    "interval_progressions",
     "pi_k_ap_chars",
     "pi_k_ap_exact",
+    "pi_k_interval_chars",
     "pi_k_interval_exact",
 ]
 
@@ -127,46 +125,13 @@ class GroupSeries:
         return sum(self.count(u, n, k) for u in range(self.group.order))
 
 
-def _euler_product_classes(group, counts, N: int, K: int, slot: int):
-    """Packed per-unit rows of prod over classes of (1 + z T^deg e_class)^count."""
-    order = group.order
-    width = (K + 1) * slot
-    mask = (1 << width) - 1
-    rows = [[0] * (N + 1) for _ in range(order)]
-    rows[group.identity_index][0] = 1
-    for dp in range(1, N + 1):
-        for c_idx, cnt in sorted(counts.get(dp, {}).items()):
-            jmax = min(N // dp, K)
-            binom = [1]
-            for j in range(1, jmax + 1):
-                binom.append(binom[-1] * (cnt - j + 1) // j)
-            # src[j][v] = v * c^(-j), the class whose table feeds slot j
-            step = group.translation(group.inv(c_idx))
-            src = [list(range(order))]
-            for _ in range(jmax):
-                src.append([step[v] for v in src[-1]])
-            for n in range(N, dp - 1, -1):
-                jm = min(n // dp, jmax)
-                for v in range(order):
-                    acc = rows[v][n]
-                    dirty = False
-                    for j in range(1, jm + 1):
-                        srcrow = rows[src[j][v]][n - dp * j]
-                        if srcrow:
-                            acc += binom[j] * (srcrow << (j * slot))
-                            dirty = True
-                    if dirty:
-                        rows[v][n] = acc & mask
-    return rows
-
-
 def ap_series(d: Poly, N: int, K: int | None = None, method: str = "auto",
               budget: int | None = None) -> GroupSeries:
     """GroupSeries of squarefree coprime counts refined by residue class mod d.
 
-    method "direct" buckets enumerated irreducibles by residue, "class"
-    derives class sizes from the Newton recurrence, "auto" enumerates when
-    the total number of irreducibles of degree <= N is within the cap.
+    Class sizes come from the Newton recurrence ("class", or "auto", which
+    is the same); "direct" buckets enumerated irreducibles by residue and
+    serves as the test oracle.
     """
     group = unit_group(d)
     if N < 1:
@@ -184,7 +149,7 @@ def ap_series(d: Poly, N: int, K: int | None = None, method: str = "auto",
         raise BudgetExceededError(
             f"group series of estimated size {estimated} bytes exceeds the budget {limit}")
     counts = group.irreducible_classes(N, method=method)
-    rows = _euler_product_classes(group, counts, N, K, slot)
+    rows = euler_product_packed(counts, N, K, slot, group)
     smask = (1 << slot) - 1
     coeff = {
         u: tuple(
@@ -220,64 +185,95 @@ def pi_k_ap_chars(qy: APQuery) -> float:
     Averages conj(chi(g)) times the character-twisted count over the dual
     group; the imaginary parts must cancel to 1e-8.
     """
-    group = unit_group(qy.d)
-    n, k = qy.n, qy.k
-    if k > n:
+    return _char_sweep(qy.d, ((qy.g, qy.n, qy.k),))
+
+
+def _char_sweep(d: Poly, terms) -> float:
+    """Sum of the character-assembled counts of the terms (g, n, k) mod d.
+
+    One sweep over the characters serves every term: one twisted series
+    per character, deep enough for all of them.  Each term keeps its own
+    accumulator and its own imaginary-part check.
+    """
+    group = unit_group(d)
+    # a count that is zero by its degree is left out of the sweep
+    live = [(g, n, k) for g, n, k in terms
+            if k <= n and (n == 0 or k <= max_omega(group.q, n))]
+    if not live:
         return 0.0
-    if n >= 1:
-        cap = max_omega(group.q, n)
-        if k > cap:
-            return 0.0
-        # only column k is read, so truncating the series there is safe
-        K = max(1, min(k, cap))
-    else:
-        K = 0
-    gidx = group.index_of(qy.g)
+    N = max(n for _, n, _ in live)
+    # only columns up to the largest k are read, so truncating there is safe
+    K = max(max(1, k) if n >= 1 else 0 for _, n, k in live)
+    gidx = [group.index_of(g) for g, _, _ in live]
     E = group.exponent
-    acc = 0j
+    accs = [0j] * len(live)
     for chi in characters(group):
-        rows = twisted_series(chi, n, K)
-        e = chi.value_exponent(gidx)
-        acc += cmath.exp(-2j * math.pi * e / E) * rows[n][k]
-    acc /= group.order
-    if abs(acc.imag) > 1e-8:
-        raise ConsistencyError(
-            f"character sum has imaginary part {acc.imag:.3e}")
-    return acc.real
+        rows = twisted_series(chi, N, K)
+        for i, (_, n, k) in enumerate(live):
+            e = chi.value_exponent(gidx[i])
+            accs[i] += cmath.exp(-2j * math.pi * e / E) * rows[n][k]
+    total = 0.0
+    for acc in accs:
+        acc /= group.order
+        if abs(acc.imag) > 1e-8:
+            raise ConsistencyError(
+                f"character sum has imaginary part {acc.imag:.3e}")
+        total += acc.real
+    return total
+
+
+def interval_progressions(qy: IntervalQuery):
+    """The modulus X^(n-h) and the progression terms of an interval count.
+
+    Returns (d, terms): the interval count is the sum over the 2(q-1)
+    terms (r, n', k') of the progression counts of degree n', k' factors,
+    residue r mod d.  Terms come in pairs per nonzero constant term a:
+    (a^-1 g* mod d, n, k) and, stripping a factor X, (same, n-1, k-1).
+    """
+    n, k, g = qy.n, qy.k, qy.g
+    fld = g.field
+    d = Poly.x(fld, n - qy.h)
+    gstar = involute(g)
+    terms = []
+    for a in range(1, fld.q):
+        r = gstar.scale(fld.inv(a)) % d
+        terms.append((r, n, k))
+        terms.append((r, n - 1, k - 1))
+    return d, tuple(terms)
 
 
 def pi_k_interval_exact(qy: IntervalQuery, budget: int | None = None,
                         series: GroupSeries | None = None) -> int:
     """Exact count of squarefree f with deg(f - g) <= h and k factors.
 
-    Splits on f(0): nonvanishing constant terms reverse to a progression
-    modulo X^(n-h) after scaling monic, and f(0) = 0 strips one factor of
-    X, dropping to degree n-1 with k-1 factors in the same progression.
-    A prebuilt series for the modulus X^(n-h) can be passed in when many
-    centers share one interval shape.
+    Sums the progression table mod X^(n-h) over interval_progressions.  A
+    prebuilt series for that modulus can be passed in when many centers
+    share one interval shape.
     """
-    n, k, g, h = qy.n, qy.k, qy.g, qy.h
+    n, k = qy.n, qy.k
     if k == 0 or k > n:
         return 0
-    fld = g.field
-    q = fld.q
-    m = n - h
-    d = Poly.x(fld, m)
+    d, terms = interval_progressions(qy)
     if series is None:
-        K = max(1, min(k, max_omega(q, n)))
+        K = max(1, min(k, max_omega(d.field.q, n)))
         series = ap_series(d, n, K, budget=budget)
     else:
         if series.group.d != d:
             raise ValueError("series was built for a different modulus")
         if series.N < n:
             raise ValueError("series truncation is below the queried degree")
-    gstar = involute(g)
-    total = 0
-    for a in range(1, q):
-        r = gstar.scale(fld.inv(a)) % d
-        total += series.count(r, n, k)
-        total += series.count(r, n - 1, k - 1)
-    return total
+    return sum(series.count(r, tn, tk) for r, tn, tk in terms)
+
+
+def pi_k_interval_chars(qy: IntervalQuery) -> float:
+    """The interval count assembled from the characters mod X^(n-h).
+
+    One character sweep serves all terms of interval_progressions.
+    """
+    if qy.k == 0:
+        return 0.0
+    d, terms = interval_progressions(qy)
+    return _char_sweep(d, terms)
 
 
 def ap_enumerate(qy: APQuery, budget: int | None = None) -> int:

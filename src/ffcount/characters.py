@@ -43,7 +43,6 @@ from functools import lru_cache
 from itertools import product as _iproduct
 
 from .algebra import (
-    DEFAULT_ENUM_BUDGET,
     Poly,
     enumerate_irreducibles,
     enumerate_monics,
@@ -73,14 +72,6 @@ __all__ = [
 ]
 
 DEFAULT_GROUP_BUDGET = 100_000
-
-# above this many irreducibles, class counts switch from enumeration to the
-# Newton recurrence on the class-refined zeta coefficients
-DEFAULT_IRREDUCIBLE_CAP = 2_000_000
-
-# the Newton path convolves vectors indexed by the unit group, which needs
-# the full multiplication table in memory
-MAX_CLASS_METHOD_ORDER = 1024
 
 L_COEFF_NOTE = "coefficients indexed from degree 0; constant coefficient is 1"
 
@@ -170,6 +161,13 @@ class UnitGroup:
         assert len(elems) == self.order
         self.elements: tuple[Poly, ...] = tuple(elems)
         self._index = index
+        # monic_residues[j]: indices of the monic units of degree j < m,
+        # which are exactly the monic polynomials of degree j coprime to d
+        by_degree: list[list[int]] = [[] for _ in range(self.m)]
+        for i, f in enumerate(elems):
+            if f.is_monic:
+                by_degree[f.degree].append(i)
+        self.monic_residues = tuple(tuple(r) for r in by_degree)
         self.identity_index = index[(1,)]
         self.structure: tuple[tuple[Poly, int], ...] = ()
         self._build_structure()
@@ -342,51 +340,37 @@ class UnitGroup:
         return out
 
     def irreducible_classes(self, max_degree: int, budget: int | None = None,
-                            method: str = "auto"):
+                            method: str = "class"):
         """Per-degree counts of irreducibles by unit class, {deg: {idx: count}}.
 
         Irreducibles dividing the modulus are excluded (their residues are
-        not units).  Cached per degree.  method "direct" reduces every
-        enumerated irreducible, "class" uses the Newton recurrence on the
-        class-refined zeta coefficients, and "auto" enumerates only when
-        the total number of irreducibles is within the cap and the sieve
-        over all q^max_degree monics fits the enumeration budget.
+        not units).  method "class" (or "auto", the same) uses the Newton
+        recurrence on the class-refined zeta coefficients, cached per degree
+        (only missing degrees are computed).  "direct" reduces every
+        enumerated irreducible; it is the test oracle of the recurrence, so
+        it neither reads nor fills that cache.
         """
         if max_degree < 0:
             raise ValueError("max_degree must be nonnegative")
         if method not in ("auto", "direct", "class"):
             raise ValueError(f"unknown method {method!r}")
-        missing = [n for n in range(1, max_degree + 1)
-                   if n not in self._class_counts]
-        mode = method
-        if mode == "auto" and missing:
-            total = 0
+        if method == "direct":
+            out: dict[int, dict[int, int]] = {}
             for n in range(1, max_degree + 1):
-                total += irreducible_count(self.q, n)
-                if total > DEFAULT_IRREDUCIBLE_CAP:
-                    break
-            sieve_limit = DEFAULT_ENUM_BUDGET if budget is None else budget
-            fits = (total <= DEFAULT_IRREDUCIBLE_CAP
-                    and self.q ** max(missing) <= sieve_limit)
-            mode = "direct" if fits else "class"
-        if mode == "direct":
-            for n in missing:
                 counts: dict[int, int] = {}
                 for p in enumerate_irreducibles(self.field, n, budget):
                     r = p % self.d
                     idx = self._index.get(r.coeffs)
                     if idx is not None:
                         counts[idx] = counts.get(idx, 0) + 1
-                self._class_counts[n] = counts
-        elif mode == "class":
-            # recompute even over cached degrees; a cached value then acts
-            # as a free cross-check between the two derivations
-            for n, counts in _newton_class_counts(self, max_degree).items():
-                cached = self._class_counts.get(n)
-                if cached is not None and cached != counts:
-                    raise ConsistencyError(
-                        f"class counts disagree between methods at degree {n}")
-                self._class_counts[n] = counts
+                out[n] = counts
+            return out
+        missing = [n for n in range(1, max_degree + 1)
+                   if n not in self._class_counts]
+        if missing:
+            newton = _newton_class_counts(self, max_degree)
+            for n in missing:
+                self._class_counts[n] = newton[n]
         return {n: dict(self._class_counts[n]) for n in range(1, max_degree + 1)}
 
 
@@ -395,28 +379,13 @@ def _newton_class_counts(group: UnitGroup, N: int):
 
     Works on the class-refined coefficients z_n of the zeta function
     restricted to polynomials coprime to d: z_n[u] is q^(n-m) for n >= m
-    and an indicator of the monic degree-n representatives below that.
-    The recurrence n z_n = sum_j w_j * z_(n-j) (convolution over the
-    group) yields the prime-power vectors w_n, and exact prime-power
-    inversion recovers the per-class prime counts.
+    and, below that, the indicator of the monic residues of degree n
+    (group.monic_residues[n]).  The recurrence n z_n = sum_j w_j * z_(n-j)
+    (convolution over the group) yields the prime-power vectors w_n, and
+    exact prime-power inversion recovers the per-class prime counts.
     """
     order = group.order
-    if order > MAX_CLASS_METHOD_ORDER:
-        raise BudgetExceededError(
-            "class-count method needs a full multiplication table; "
-            f"group order {order} exceeds {MAX_CLASS_METHOD_ORDER}")
-    q, m, id0 = group.q, group.m, group.identity_index
-    multab = [group.translation(u) for u in range(order)]
-    zrows = []
-    for n in range(min(m, N + 1)):
-        row = [0] * order
-        if n == 0:
-            row[id0] = 1
-        else:
-            for u, el in enumerate(group.elements):
-                if el.is_monic and el.degree == n:
-                    row[u] = 1
-        zrows.append(row)
+    q, m = group.q, group.m
     qpow = [1]
     for _ in range(N):
         qpow.append(qpow[-1] * q)
@@ -432,7 +401,9 @@ def _newton_class_counts(group: UnitGroup, N: int):
         if n >= m:
             acc = [n * qpow[n - m]] * order
         else:
-            acc = [n * zrows[n][u] for u in range(order)]
+            acc = [0] * order
+            for v in group.monic_residues[n]:
+                acc[v] = n
         for j in range(1, n):
             nj = n - j
             if nj >= m:
@@ -442,15 +413,17 @@ def _newton_class_counts(group: UnitGroup, N: int):
                 if c:
                     acc = [a - c for a in acc]
             else:
-                zr = zrows[nj]
-                wj = w[j]
-                for u in range(order):
-                    wu = wj[u]
-                    if wu:
-                        row = multab[u]
-                        for v in range(order):
-                            if zr[v]:
-                                acc[row[v]] -= wu * zr[v]
+                # z_(n-j) is the indicator of the monic residues of degree
+                # n-j, so w_j * z_(n-j) sums wu over the products u * v;
+                # translate by each entry of the shorter list and walk the
+                # longer one, keeping memory at one row of the group
+                wj = [(u, wu) for u, wu in enumerate(w[j]) if wu]
+                zj = [(v, 1) for v in group.monic_residues[nj]]
+                outer, inner = (wj, zj) if len(wj) <= len(zj) else (zj, wj)
+                for a, ca in outer:
+                    row = group.translation(a)
+                    for b, cb in inner:
+                        acc[row[b]] -= ca * cb
         w[n] = acc
         wsum[n] = sum(acc)
         sub = [0] * order
@@ -597,13 +570,14 @@ class LPoly:
 
 
 def _l_coefficient_counts(chi: DirichletChar, j: int) -> list[int]:
-    """chi summed over all monics of degree j, as root-of-unity counts."""
+    """chi summed over all monics of degree j < m, as root-of-unity counts.
+
+    Monics not coprime to d have value 0, so only the monic residues count.
+    """
     g = chi.group
     counts = [0] * g.exponent
-    for f in enumerate_monics(g.field, j):
-        e = chi.value_exponent(f)
-        if e is not None:
-            counts[e] += 1
+    for idx in g.monic_residues[j]:
+        counts[chi.value_exponent(idx)] += 1
     return counts
 
 

@@ -39,7 +39,7 @@ import tempfile
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .algebra import FieldSpec, Poly, default_modulus, involute, parse_poly
+from .algebra import FieldSpec, Poly, default_modulus, parse_poly
 from .apinterval import (
     APQuery,
     IntervalQuery,
@@ -48,6 +48,7 @@ from .apinterval import (
     interval_enumerate,
     pi_k_ap_chars,
     pi_k_ap_exact,
+    pi_k_interval_chars,
     pi_k_interval_exact,
 )
 from .asym import (
@@ -353,17 +354,7 @@ def cmd_interval(args) -> Report:
     k, h = args.k, args.h
     qy = IntervalQuery(n, k, g, h)
     exact = pi_k_interval_exact(qy, budget=args.budget)
-    if k == 0:
-        char_value = 0.0
-    else:
-        m = n - h
-        d = Poly.x(fld, m)
-        gstar = involute(g)
-        char_value = 0.0
-        for a in range(1, q):
-            r = gstar.scale(fld.inv(a)) % d
-            char_value += pi_k_ap_chars(APQuery(n, k, r, d))
-            char_value += pi_k_ap_chars(APQuery(n - 1, k - 1, r, d))
+    char_value = pi_k_interval_chars(qy)
     if not _paths_agree(exact, char_value):
         raise ConsistencyError(
             f"interval paths disagree: exact {exact}, characters {char_value!r}")
@@ -626,7 +617,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--A", type=float, default=2.0)
-    p.add_argument("--method", choices=("auto", "direct", "class"), default="auto")
+    p.add_argument("--method", choices=("auto", "direct", "class"), default="auto",
+                   help="irreducible class counts: class (Newton recurrence; auto "
+                        "is the same) or direct (enumeration, the test oracle)")
     _add_common(p)
 
     p = sub.add_parser("interval", help="short interval count, dual path")

@@ -7,11 +7,16 @@ by degree class d into local factors (1 + z T^d)^Pi(d), where Pi(d) is the
 number of monic irreducibles of degree d.  Coefficients are arbitrary
 precision integers; exactness is the point of this module.
 
-Build strategy: each T-row is packed into a single big integer with a
-fixed bit stride per z-slot.  All coefficients are nonnegative and bounded
-by q^N, so slot values never interact and a local-factor application is a
-short sequence of shift-multiply-add operations on row integers.  Rows are
-unpacked into plain integer tables once the product is complete.
+Build strategy: one kernel, euler_product_packed, multiplies out the
+product refined by a class in a finite abelian group: the irreducibles of
+one degree and one class contribute (1 + z T^deg e_class)^count.  The
+global series is its one-element-group case, one class per degree with
+count Pi(d); the progression tables of apinterval are the unit-group case.
+Each T-row is packed into a single big integer with a fixed bit stride per
+z-slot.  All coefficients are nonnegative and bounded by q^N, so slot
+values never interact and a local-factor application is a short sequence
+of shift-multiply-add operations on row integers.  Rows are unpacked into
+plain integer tables once the product is complete.
 
 The all-factors series (every monic polynomial, counted by distinct
 irreducible factors with multiplicity ignored) is obtained from the
@@ -136,6 +141,49 @@ def _check_series_budget(q: int, N: int, K: int, bits_cap: int, budget: int | No
     return slot
 
 
+def euler_product_packed(classes, N: int, K: int, slot: int, group=None) -> list[list[int]]:
+    """Packed rows of the squarefree Euler product refined by class.
+
+    classes[deg] maps a class index to the number of irreducibles of
+    degree deg in that class.  rows[v][n] packs, K+1 slots of slot bits,
+    the z-row of T^n in class v of the product over (deg, c) of
+    (1 + z T^deg e_c)^classes[deg][c].  group supplies order,
+    identity_index, inv and translation; None is the one-element group,
+    whose only class is 0.
+    """
+    order = 1 if group is None else group.order
+    width = (K + 1) * slot
+    mask = (1 << width) - 1
+    rows = [[0] * (N + 1) for _ in range(order)]
+    rows[0 if group is None else group.identity_index][0] = 1
+    for dp in range(1, N + 1):
+        for c, cnt in sorted(classes.get(dp, {}).items()):
+            jmax = min(N // dp, K)
+            binom = [1]
+            for j in range(1, jmax + 1):
+                binom.append(binom[-1] * (cnt - j + 1) // j)
+            # class v * c^(-j) feeds slot j of class v, from degree n - dp*j
+            step = [0] if group is None else group.translation(group.inv(c))
+            src = list(range(order))
+            feeds = [[] for _ in range(order)]
+            for j in range(1, jmax + 1):
+                src = [step[u] for u in src]
+                for v in range(order):
+                    feeds[v].append((rows[src[v]], dp * j, j * slot, binom[j]))
+            for n in range(N, dp - 1, -1):
+                for row, feed in zip(rows, feeds):
+                    acc = row[n]
+                    for srow, back, shift, b in feed:
+                        if back > n:
+                            break
+                        x = srow[n - back]
+                        if x:
+                            acc += b * (x << shift)
+                    if acc is not row[n]:  # untouched rows are already masked
+                        row[n] = acc & mask
+    return rows
+
+
 def euler_product_squarefree(
     q,
     N: int,
@@ -153,23 +201,8 @@ def euler_product_squarefree(
     if K is None:
         K = min(N, DEFAULT_K_CAP)
     slot = _check_series_budget(q, N, K, bits_cap, budget)
-    width = (K + 1) * slot
-    mask = (1 << width) - 1
-    rows = [0] * (N + 1)
-    rows[0] = 1
-    for d in range(1, N + 1):
-        pi_d = irreducible_count(q, d)
-        jmax = min(N // d, K)
-        binom = [1]
-        for j in range(1, jmax + 1):
-            binom.append(binom[-1] * (pi_d - j + 1) // j)
-        shifts = [j * slot for j in range(jmax + 1)]
-        for n in range(N, d - 1, -1):
-            jm = min(n // d, K)
-            acc = rows[n]
-            for j in range(1, jm + 1):
-                acc += binom[j] * (rows[n - d * j] << shifts[j])
-            rows[n] = acc & mask
+    classes = {d: {0: irreducible_count(q, d)} for d in range(1, N + 1)}
+    rows = euler_product_packed(classes, N, K, slot)[0]
     slot_mask = (1 << slot) - 1
     coeff = [
         [(rows[n] >> (k * slot)) & slot_mask for k in range(K + 1)] for n in range(N + 1)

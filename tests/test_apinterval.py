@@ -6,6 +6,7 @@ import pytest
 
 from ffcount.algebra import (
     Poly,
+    default_modulus,
     enumerate_monics,
     factor_stats,
     field,
@@ -31,6 +32,9 @@ from ffcount.exactcount import euler_product_squarefree
 
 F2 = field(2)
 F3 = field(3)
+F4 = field(2, 2, default_modulus(2, 2))
+F5 = field(5)
+F9 = field(3, 2, default_modulus(3, 2))
 
 
 def _p(f, text):
@@ -81,19 +85,27 @@ def test_series_row_zero_and_zero_above_degree():
 
 
 def test_direct_and_class_methods_agree():
-    for fld, d_text in (
-        (F2, "0,1"),
-        (F2, "0,0,1"),
-        (F2, "0,0,0,1"),
-        (F3, "0,1"),
-        (F3, "1,0,1"),
-        (F3, "0,2,1"),
+    for fld, d_text, N in (
+        (F2, "0,1", 6),
+        (F2, "0,0,1", 6),
+        (F2, "0,0,0,1", 6),
+        (F3, "0,1", 6),
+        (F3, "1,0,1", 6),
+        (F3, "0,2,1", 6),
+        (F4, "0/1,1,1", 6),  # irreducible quadratic over F_4
+        (F4, "0,0,0,1", 6),  # X^3, an interval modulus
+        (F5, "2,0,1", 6),  # irreducible quadratic over F_5
+        (F5, "1,2,1", 6),  # (X + 1)^2, a repeated factor
+        (F9, "0,0,1", 4),  # X^2 over F_9
+        (F2, "0,1,0,1", 6),  # X (X + 1)^2
+        (F2, "0,0,0,0,1", 7),  # X^4
+        (F3, "0,0,0,1", 6),  # X^3
     ):
         d = _p(fld, d_text)
-        a = ap_series(d, 6, method="direct")
-        b = ap_series(d, 6, method="class")
-        c = ap_series(d, 6, method="auto")
-        assert a.coeff == b.coeff == c.coeff
+        a = ap_series(d, N, method="direct")
+        b = ap_series(d, N, method="class")
+        c = ap_series(d, N)
+        assert a.coeff == b.coeff == c.coeff, (fld.q, d_text)
 
 
 def test_series_single_factor_row_totals():

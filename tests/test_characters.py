@@ -3,6 +3,7 @@ from __future__ import annotations
 import cmath
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,9 @@ from ffcount.algebra import (
     field,
     parse_poly,
     phi_poly,
+    poly_gcd,
 )
+from ffcount import characters as characters_module
 from ffcount.characters import (
     DEFAULT_GROUP_BUDGET,
     DirichletChar,
@@ -445,6 +448,66 @@ def test_auto_method_avoids_a_sieve_past_the_enumeration_budget():
     d = _p(F3, "1,1")
     auto = UnitGroup(d).irreducible_classes(14)
     assert auto == UnitGroup(d).irreducible_classes(14, method="class")
+
+
+def test_monic_residues_are_the_monic_units_by_degree():
+    for fld, d_text in ((F2, "0,1,0,1"), (F3, "0,0,1"), (F4, "1,0,1"), (F5, "2,0,1")):
+        d = _p(fld, d_text)
+        g = UnitGroup(d)
+        assert len(g.monic_residues) == g.m
+        for j in range(g.m):
+            want = sorted(g.index_of(f) for f in enumerate_monics(fld, j)
+                          if poly_gcd(f, d).degree == 0)
+            assert list(g.monic_residues[j]) == want
+
+
+def test_class_counts_fill_only_missing_degrees(monkeypatch):
+    g = UnitGroup(_p(F3, "1,0,1"))
+    low = g.irreducible_classes(3)
+    calls = []
+    real = characters_module._newton_class_counts
+
+    def counted(group, N):
+        calls.append(N)
+        return real(group, N)
+
+    monkeypatch.setattr(characters_module, "_newton_class_counts", counted)
+    assert g.irreducible_classes(2) == {n: low[n] for n in (1, 2)}
+    assert calls == []
+    high = g.irreducible_classes(5)
+    assert calls == [5]
+    assert {n: high[n] for n in (1, 2, 3)} == low
+    assert high == UnitGroup(g.d).irreducible_classes(5, method="direct")
+
+
+def test_direct_method_neither_reads_nor_fills_the_class_cache():
+    # "direct" is the oracle of the Newton recurrence, so it must not
+    # answer from the recurrence's cache or seed it
+    g = UnitGroup(_p(F3, "1,0,1"))
+    direct = g.irreducible_classes(5, method="direct")
+    assert g._class_counts == {}
+    newton = g.irreducible_classes(5)
+    assert newton == direct
+    g._class_counts[3] = {}
+    assert g.irreducible_classes(5, method="direct") == direct
+
+
+def test_newton_class_counts_memory_stays_linear_in_the_group_order():
+    # d irreducible of degree 11 over F_2: order 2047, and N = m reaches
+    # every monic residue; a table of translations would hold about
+    # |G|^2 / 2 entries (about 38 MB here), the rows kept per degree
+    # about N |G|
+    g = unit_group(_p(F2, "1,0,0,0,0,0,0,0,0,1,0,1"))
+    assert g.order == 2047
+    N = g.m
+    tracemalloc.start()
+    try:
+        counts = characters_module._newton_class_counts(g, N)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 128 * (N + 1) * g.order
+    assert counts == UnitGroup(g.d).irreducible_classes(N, method="direct")
 
 
 def test_irreducible_classes_partition_totals():

@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from ffcount import cli
+from ffcount import algebra, apinterval, characters, cli
 from ffcount.algebra import FieldSpec, Poly, parse_poly
 from ffcount.apinterval import APQuery, IntervalQuery, ap_enumerate, interval_enumerate
 from ffcount.exactcount import brute_force_count, omega_mean_exact
@@ -190,6 +190,56 @@ def test_ap_auto_method_does_not_exit_3_past_the_sieve_budget(capsys):
         reports.append(out)
     assert reports[0] == reports[1]
     assert json.loads(reports[0])["exact"] == "396430"
+
+
+def test_default_ap_method_does_not_sieve(monkeypatch, capsys):
+    # the README example: 3^12 monics fit the sieve budget, but the class
+    # counts come from the Newton recurrence alone
+    def refuse(*args, **kwargs):
+        raise RuntimeError("the production path enumerated irreducibles")
+
+    monkeypatch.setattr(algebra, "enumerate_irreducibles", refuse)
+    monkeypatch.setattr(characters, "enumerate_irreducibles", refuse)
+    characters.unit_group.cache_clear()  # no class counts cached by earlier tests
+    code, out, _ = run_cli(
+        capsys, ["ap", "--q", "3", "--d", "0,1", "--g", "1", "--n", "12", "--k", "2"])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["exact"] == payload["char_path"] == "51770"
+
+
+def test_ap_on_a_unit_group_of_order_2047(capsys):
+    # d is irreducible of degree 11 over F_2; no |G| x |G| table is built
+    base = ["ap", "--q", "2", "--d", "1,0,0,0,0,0,0,0,0,1,0,1", "--g", "1,0,1,1,1",
+            "--n", "4", "--k", "2"]
+    reports = []
+    for extra in ([], ["--method", "class"]):
+        code, out, _ = run_cli(capsys, base + extra)
+        assert code == 0
+        reports.append(out)
+    assert reports[0] == reports[1]
+    f2 = FieldSpec(2)
+    qy = APQuery(4, 2, parse_poly(f2, "1,0,1,1,1"), parse_poly(f2, base[4]))
+    assert json.loads(reports[0])["exact"] == "1" == str(ap_enumerate(qy))
+
+
+def test_interval_sweeps_each_character_once(monkeypatch, capsys):
+    # over F_4 the interval has 2(q-1) = 6 progression terms mod X^2,
+    # which share one twisted series per character of the order-12 group
+    calls = []
+    real = apinterval.twisted_series
+
+    def counted(chi, *args, **kwargs):
+        calls.append(chi)
+        return real(chi, *args, **kwargs)
+
+    monkeypatch.setattr(apinterval, "twisted_series", counted)
+    code, out, _ = run_cli(
+        capsys, ["interval", "--q", "4", "--g", "1,0/1,1,0,1", "--h", "2", "--k", "2"])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["char_path"] == payload["exact"]
+    assert len(calls) == len(set(calls)) == 12
 
 
 def test_interval_matches_enumeration(capsys):
