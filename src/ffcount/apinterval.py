@@ -6,11 +6,12 @@ Representation conventions used throughout this module:
   coeff[u][n][k] = number of squarefree monic polynomials of degree n with
   exactly k distinct irreducible factors, all coprime to d, lying in the
   class u.  Row 0 is the empty product: coeff[identity][0][0] = 1.
-* Tables are built by exactcount.euler_product_packed, the kernel of the
-  global counting tables, on the unit group mod d: one packed big integer
-  per (unit, degree) with (K+1) slots of slot_bits(q, N) bits; every slot
-  value is a genuine count bounded by q^N, so no slot ever carries into
-  its neighbor.
+* Tables are built by exactcount.euler_product_packed, the class kernel,
+  on the unit group mod d: one packed big integer per (unit, degree) with
+  (K+1) slots of slot_bits(q, N) bits; every slot value is a genuine count
+  bounded by q^N, so no slot ever carries into its neighbor.  The global
+  tables of exactcount come from their own recurrence and share only the
+  row packing with this kernel.
 * The kernel multiplies out the product over irreducibles p not dividing
   d of (1 + z T^deg(p) e_[p]) where e_[p] is the basis vector of the class
   of p.  Irreducibles with equal degree and equal residue class contribute

@@ -7,23 +7,30 @@ by degree class d into local factors (1 + z T^d)^Pi(d), where Pi(d) is the
 number of monic irreducibles of degree d.  Coefficients are arbitrary
 precision integers; exactness is the point of this module.
 
-Build strategy: one kernel, euler_product_packed, multiplies out the
-product refined by a class in a finite abelian group: the irreducibles of
-one degree and one class contribute (1 + z T^deg e_class)^count.  The
-global series is its one-element-group case, one class per degree with
-count Pi(d); the progression tables of apinterval are the unit-group case.
-Each T-row is packed into a single big integer with a fixed bit stride per
-z-slot.  All coefficients are nonnegative and bounded by q^N, so slot
-values never interact and a local-factor application is a short sequence
-of shift-multiply-add operations on row integers.  Rows are unpacked into
-plain integer tables once the product is complete.
+Build strategy: the global series comes from its logarithmic derivative.
+Since log F = sum_t Pi(t) sum_m (-1)^(m-1) z^m T^(mt) / m, the rows F_n
+obey the integer recurrence
+
+    n F_n = sum_{m <= K} (-1)^(m-1) z^m sum_{t <= n/m} t Pi(t) F_{n-mt}.
+
+Each T-row is packed into one big integer with a fixed bit stride per
+z-slot, so z^m is a shift by m slots and each inner sum is a pass of
+scalar-times-row products.  Since t Pi(t) = sum over d r = t of mu(r) q^d,
+the part of those sums with a short stride m r is a geometric sum of rows,
+kept up to date row by row, and the scalars left in the products are
+small.  Every slot of n F_n lies in [0, 2^slot), so masking the signed
+total to K+1 slots is exact and the masked row divides exactly by n.
+The class kernel euler_product_packed, which builds the progression
+tables of apinterval, packs its rows the same way.
 
 The all-factors series (every monic polynomial, counted by distinct
 irreducible factors with multiplicity ignored) is obtained from the
 squarefree series through an exact identity: the local factor
 (1 - T^d + z T^d)/(1 - T^d) equals (1 + (z-1) T^d) / (1 - T^d), so the
 full product is the squarefree series evaluated at z - 1, convolved with
-the geometric series sum_n q^n T^n, and re-expanded around z.
+the geometric series sum_n q^n T^n, and re-expanded around z.  The
+re-expansion is one packed Horner evaluation at X - 1, X = 2^slot, per
+row: the all-factor counts lie in [0, q^n], so they are its base-X digits.
 """
 
 from __future__ import annotations
@@ -33,14 +40,17 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable
+from operator import mul
 
-from .algebra import FieldSpec, enumerate_monics, factor_stats, irreducible_count
-from .errors import BudgetExceededError
+from .algebra import FieldSpec, _mobius_int, enumerate_monics, factor_stats, irreducible_count
+from .errors import BudgetExceededError, ConsistencyError
 
 DEFAULT_K_CAP = 40
 DEFAULT_BITS_CAP = 600
 DEFAULT_BYTE_BUDGET = 1 << 30
+# strides s whose sums sum_d q^d F_{n-sd} the squarefree recurrence updates
+# instead of recomputing; they hold _LANES (_LANES + 1) / 2 packed rows
+_LANES = 8
 
 
 def byte_budget() -> int:
@@ -113,13 +123,6 @@ class BiSeries:
             raise ValueError(f"row {n} outside [0, {self.N}]")
         return self.coeff[n]
 
-    def row_json(self, n: int) -> dict:
-        return {
-            "q": self.q,
-            "n": n,
-            "counts": {str(k): str(c) for k, c in enumerate(self.row(n)) if c},
-        }
-
     def row_sum(self, n: int):
         return sum(self.row(n))
 
@@ -131,7 +134,8 @@ def _check_series_budget(q: int, N: int, K: int, bits_cap: int, budget: int | No
         raise BudgetExceededError(
             f"series truncation N = {N} over F_{q} exceeds the {bits_cap}-bit coefficient cap"
         )
-    slot = slot_bits(q, N)
+    # the recurrence packs n F_n, up to N q^N, into each slot
+    slot = slot_bits(q, N) + N.bit_length()
     estimated = (N + 1) * (K + 1) * slot // 8 + (N + 1) * 64
     limit = byte_budget() if budget is None else budget
     if estimated > limit:
@@ -141,21 +145,20 @@ def _check_series_budget(q: int, N: int, K: int, bits_cap: int, budget: int | No
     return slot
 
 
-def euler_product_packed(classes, N: int, K: int, slot: int, group=None) -> list[list[int]]:
+def euler_product_packed(classes, N: int, K: int, slot: int, group) -> list[list[int]]:
     """Packed rows of the squarefree Euler product refined by class.
 
     classes[deg] maps a class index to the number of irreducibles of
     degree deg in that class.  rows[v][n] packs, K+1 slots of slot bits,
     the z-row of T^n in class v of the product over (deg, c) of
     (1 + z T^deg e_c)^classes[deg][c].  group supplies order,
-    identity_index, inv and translation; None is the one-element group,
-    whose only class is 0.
+    identity_index, inv and translation.
     """
-    order = 1 if group is None else group.order
+    order = group.order
     width = (K + 1) * slot
     mask = (1 << width) - 1
     rows = [[0] * (N + 1) for _ in range(order)]
-    rows[0 if group is None else group.identity_index][0] = 1
+    rows[group.identity_index][0] = 1
     for dp in range(1, N + 1):
         for c, cnt in sorted(classes.get(dp, {}).items()):
             jmax = min(N // dp, K)
@@ -163,7 +166,7 @@ def euler_product_packed(classes, N: int, K: int, slot: int, group=None) -> list
             for j in range(1, jmax + 1):
                 binom.append(binom[-1] * (cnt - j + 1) // j)
             # class v * c^(-j) feeds slot j of class v, from degree n - dp*j
-            step = [0] if group is None else group.translation(group.inv(c))
+            step = group.translation(group.inv(c))
             src = list(range(order))
             feeds = [[] for _ in range(order)]
             for j in range(1, jmax + 1):
@@ -201,26 +204,45 @@ def euler_product_squarefree(
     if K is None:
         K = min(N, DEFAULT_K_CAP)
     slot = _check_series_budget(q, N, K, bits_cap, budget)
-    classes = {d: {0: irreducible_count(q, d)} for d in range(1, N + 1)}
-    rows = euler_product_packed(classes, N, K, slot)[0]
+    mask = (1 << (K + 1) * slot) - 1
+    # t Pi(t) = sum over d r = t of mu(r) q^d.  In the z^m sum, the terms
+    # with m r <= L add up to mu(r) G_mr(n), where G_s(n) = sum_d q^d F_{n-sd};
+    # the others weigh single rows, weights[m][t]
+    L = min(N, _LANES)
+    mu = [0] + [_mobius_int(r) for r in range(1, N + 1)]
+    qpow = [q**d for d in range(N + 1)]
+    weights = [None]
+    lane_terms = [None]
+    for m in range(1, K + 1):
+        w = [0] * (N // m + 1)
+        for r in range(L // m + 1, N // m + 1):
+            if mu[r]:
+                for d in range(1, N // (m * r) + 1):
+                    w[d * r] += mu[r] * qpow[d]
+        weights.append(w)
+        lane_terms.append([(mu[r], m * r) for r in range(1, L // m + 1) if mu[r]])
+    # lanes[s][n % s] is G_s(n) = q (F_{n-s} + G_s(n-s)); 0 while n < s
+    lanes = [[0] * s for s in range(L + 1)]
+    rows = [1]
+    for n in range(1, N + 1):
+        for s in range(1, min(n, L) + 1):
+            lane = lanes[s]
+            lane[n % s] = q * (rows[n - s] + lane[n % s])
+        total = 0
+        for m in range(1, min(n, K) + 1):
+            # rows n-m, n-2m, ... by their weights, then the lanes, times z^m
+            part = sum(map(mul, weights[m][1:n // m + 1], rows[n - m::-m]))
+            for sign, s in lane_terms[m]:
+                part = part + lanes[s][n % s] if sign > 0 else part - lanes[s][n % s]
+            part <<= m * slot
+            total = total + part if m & 1 else total - part
+        row, rem = divmod(total & mask, n)
+        if rem:
+            raise ConsistencyError(f"squarefree recurrence is not integral at degree {n}")
+        rows.append(row)
     slot_mask = (1 << slot) - 1
-    coeff = [
-        [(rows[n] >> (k * slot)) & slot_mask for k in range(K + 1)] for n in range(N + 1)
-    ]
+    coeff = [[(row >> (k * slot)) & slot_mask for k in range(K + 1)] for row in rows]
     return BiSeries(q, N, K, coeff)
-
-
-def _row_shift_expand(row: Iterable[int]) -> list[int]:
-    # Polynomial substitution w -> z - 1, ascending coefficient lists.
-    out: list[int] = []
-    for c in reversed(list(row)):
-        nxt = [0] * (len(out) + 1)
-        for i, v in enumerate(out):
-            nxt[i + 1] += v
-            nxt[i] -= v
-        nxt[0] += c
-        out = nxt
-    return out if out else [0]
 
 
 def euler_product_allfactors(
@@ -244,16 +266,21 @@ def euler_product_allfactors(
         raise ValueError("N and K must be >= 1")
     full = max_omega(q, N)
     sf = euler_product_squarefree(q, N, max(1, full), bits_cap=bits_cap, budget=budget)
+    slot = slot_bits(q, N)
+    slot_mask = (1 << slot) - 1
+    width = max(K, full) + 1
     coeff = []
     running = [0] * (full + 1)  # q-geometric partial sums of squarefree rows
     for n in range(N + 1):
-        for k in range(full + 1):
+        packed = 0  # running row at z - 1, evaluated at z = 2^slot
+        for k in range(full, -1, -1):
             running[k] = q * running[k] + sf.coeff[n][k]
-        expanded = _row_shift_expand(running)
-        row = [expanded[k] if k < len(expanded) else 0 for k in range(K + 1)]
-        if any(c < 0 for c in row):
+            packed = (packed << slot) - packed + running[k]
+        row = [(packed >> (k * slot)) & slot_mask for k in range(width)]
+        # a negative or oversized count would carry across slots
+        if sum(row) != q**n:
             raise AssertionError("negative count after basis change; series is corrupt")
-        coeff.append(row)
+        coeff.append(row[:K + 1])
     return BiSeries(q, N, K, coeff)
 
 

@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from ffcount.algebra import field, irreducible_count
+from ffcount.algebra import Poly, default_modulus, field, irreducible_count
+from ffcount.apinterval import ap_series
 from ffcount.errors import BudgetExceededError
 from ffcount.exactcount import (
     BiSeries,
@@ -22,11 +23,32 @@ from ffcount.exactcount import (
     omega_mean_exact,
     omega_moments,
     rising_factorial_over_factorial,
+    slot_bits,
     zeta_inverse_power_rows,
 )
 
 F2 = field(2)
 F3 = field(3)
+FIELDS = {
+    2: F2,
+    3: F3,
+    4: field(2, 2, default_modulus(2, 2)),
+    5: field(5),
+    9: field(3, 2, default_modulus(3, 2)),
+}
+
+
+def _row_shift_expand(row):
+    # Polynomial substitution w -> z - 1, ascending coefficient lists.
+    out = []
+    for c in reversed(list(row)):
+        nxt = [0] * (len(out) + 1)
+        for i, v in enumerate(out):
+            nxt[i + 1] += v
+            nxt[i] -= v
+        nxt[0] += c
+        out = nxt
+    return out if out else [0]
 
 
 def test_squarefree_series_hand_values_q2():
@@ -69,6 +91,37 @@ def test_series_against_enumeration_small():
                 assert a.coeff[n][k] == al[k], (q, n, k)
 
 
+@pytest.mark.parametrize(
+    "q, N, K",
+    [(2, 80, None), (3, 70, None), (4, 60, None), (5, 50, None), (9, 40, None), (2, 598, 6)],
+)
+def test_squarefree_series_against_class_tables_mod_x(q, N, K):
+    # a squarefree monic is coprime to X, or X times a squarefree monic
+    # coprime to X with one factor and one degree less; the class kernel's
+    # tables mod X count those, with no use of the global recurrence
+    K = max_omega(q, N) if K is None else K
+    s = euler_product_squarefree(q, N, K)
+    coprime = ap_series(Poly.x(FIELDS[q], 1), N, K)
+    for n in range(N + 1):
+        for k in range(K + 1):
+            expected = coprime.row_total(n, k)
+            if n and k:
+                expected += coprime.row_total(n - 1, k - 1)
+            assert s.coeff[n][k] == expected, (q, n, k)
+
+
+@pytest.mark.parametrize("q, N", [(2, 590), (3, 372), (5, 255), (9, 186)])
+def test_allfactors_shift_against_list_oracle(q, N):
+    # the packed Horner shift against the coefficient-list substitution
+    full = max_omega(q, N)
+    sf = euler_product_squarefree(q, N, full)
+    al = euler_product_allfactors(q, N, full)
+    running = [0] * (full + 1)
+    for n in range(N + 1):
+        running = [q * r + c for r, c in zip(running, sf.row(n))]
+        assert list(al.row(n)) == _row_shift_expand(running), (q, n)
+
+
 def test_brute_force_count_modes():
     assert brute_force_count(F2, 2, 1, "squarefree") == 1
     assert brute_force_count(F2, 2, 1, "all") == 3
@@ -81,6 +134,10 @@ def test_series_budget_guards():
         euler_product_squarefree(2, 700, 4)
     with pytest.raises(BudgetExceededError):
         euler_product_squarefree(2, 200, 40, budget=1000)
+    # the estimate counts the recurrence's slots, which also hold n F_n
+    narrow = 201 * 41 * slot_bits(2, 200) // 8 + 201 * 64
+    with pytest.raises(BudgetExceededError):
+        euler_product_squarefree(2, 200, 40, budget=narrow)
     with pytest.raises(ValueError):
         euler_product_squarefree(2, 0, 1)
 
@@ -95,12 +152,6 @@ def test_max_omega_matches_enumeration():
     assert max_omega(2, 2) == 2
     assert max_omega(2, 3) == 2
     assert max_omega(2, 4) == 3  # X(X+1)(X^2+X+1)
-
-
-def test_row_json_schema():
-    s = euler_product_squarefree(2, 10, 10)
-    doc = s.row_json(2)
-    assert doc == {"q": 2, "n": 2, "counts": {"1": "1", "2": "1"}}
 
 
 def test_bz_row_one_vanishes():
