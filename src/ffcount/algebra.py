@@ -18,6 +18,9 @@ Enumeration of monic polynomials of degree n is lexicographic with
 the constant coefficient varying fastest: index i maps to the base-q
 digits of i as the n lower coefficients, plus the leading 1.
 
+Irreducibility has one test, Rabin's Frobenius-power criterion, which
+is polynomial in the degree and log q at every size.
+
 Everything here is a pure function over immutable values.  The
 per-field irreducible tables are filled once on first use and then
 only read, so sharing between threads needs no coordination.
@@ -29,7 +32,6 @@ each coefficient is a slash-separated F_p vector, e.g. "1/0,0/1".
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
@@ -39,11 +41,6 @@ from .errors import BudgetExceededError
 NEG_INF = float("-inf")
 
 DEFAULT_ENUM_BUDGET = 2_000_000
-
-# Trial division is used for irreducibility while the number of candidate
-# divisors q**(deg/2) stays below this; beyond it the Frobenius power test
-# takes over.  Both must agree wherever both run.
-_TRIAL_DIVISION_LIMIT = 4096
 
 _EXTENSION_Q_LIMIT = 64
 
@@ -178,11 +175,6 @@ class FieldSpec:
         p = self.p
         return self._val([(x - y) % p for x, y in zip(self._vec(a), self._vec(b))])
 
-    def neg(self, a: int) -> int:
-        if self.e == 1:
-            return (-a) % self.p
-        return self._neg_t[a]
-
     def mul(self, a: int, b: int) -> int:
         if self.e == 1:
             return (a * b) % self.p
@@ -198,9 +190,6 @@ class FieldSpec:
     def embed_int(self, n: int) -> int:
         """Image of the rational integer n in the prime subfield."""
         return n % self.p
-
-    def elements(self) -> range:
-        return range(self.q)
 
 
 @lru_cache(maxsize=None)
@@ -465,13 +454,6 @@ class Poly:
             out.append(f.mul(self.coeffs[i], f.embed_int(i)))
         return Poly._raw(f, _trim(out))
 
-    def evaluate(self, a: int) -> int:
-        f = self.field
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = f.add(f.mul(acc, a), c)
-        return acc
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Poly)
@@ -659,36 +641,12 @@ def enumerate_irreducibles(field: FieldSpec, n: int, budget: int | None = None) 
     return tuple(Poly._raw(field, cs) for cs in _irreducible_coeff_table(field, n, budget))
 
 
-def _is_irreducible_trial(field: FieldSpec, cs: tuple) -> bool:
-    n = len(cs) - 1
-    for d in range(1, n // 2 + 1):
-        for idx in range(field.q**d):
-            g = _monic_coeffs_from_index(field, d, idx)
-            if not _pmod(field, cs, g):
-                return False
-    return True
+def is_irreducible(f: Poly) -> bool:
+    """Irreducibility of a monic polynomial of degree >= 1 (Rabin's test).
 
-
-def _is_irreducible_powers(field: FieldSpec, cs: tuple) -> bool:
-    # f of degree n is irreducible iff X^(q^n) == X mod f and, for every prime
-    # l dividing n, gcd(X^(q^(n/l)) - X, f) is constant.
-    n = len(cs) - 1
-    q = field.q
-    x = (0, 1)
-    for ell in _int_factorization(n):
-        h = _ppow_mod(field, x, q ** (n // ell), cs)
-        g = _pgcd(field, _psub(field, h, x), cs)
-        if len(g) != 1:
-            return False
-    h = _ppow_mod(field, x, q**n, cs)
-    return _psub(field, h, x) == ()
-
-
-def is_irreducible(f: Poly, method: str = "auto") -> bool:
-    """Irreducibility of a monic polynomial of degree >= 1.
-
-    method is one of "auto", "trial", "powers".  The two concrete routes
-    implement independent criteria and must agree wherever both run.
+    f of degree n is irreducible iff X^(q^n) == X mod f and, for every
+    prime l dividing n, gcd(X^(q^(n/l)) - X, f) is constant; the cost is
+    polynomial in n log q at every size.
     """
     if not f.is_monic:
         raise ValueError("irreducibility test expects a monic polynomial")
@@ -697,13 +655,13 @@ def is_irreducible(f: Poly, method: str = "auto") -> bool:
         raise ValueError("irreducibility test expects degree >= 1")
     if n == 1:
         return True
-    if method == "auto":
-        method = "trial" if f.field.q ** (n // 2) <= _TRIAL_DIVISION_LIMIT else "powers"
-    if method == "trial":
-        return _is_irreducible_trial(f.field, f.coeffs)
-    if method == "powers":
-        return _is_irreducible_powers(f.field, f.coeffs)
-    raise ValueError(f"unknown method {method!r}")
+    field, cs = f.field, f.coeffs
+    x = (0, 1)
+    for ell in _int_factorization(n):
+        h = _ppow_mod(field, x, field.q ** (n // ell), cs)
+        if len(_pgcd(field, _psub(field, h, x), cs)) != 1:
+            return False
+    return _psub(field, _ppow_mod(field, x, field.q**n, cs), x) == ()
 
 
 @dataclass(frozen=True)

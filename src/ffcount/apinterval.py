@@ -122,9 +122,6 @@ class GroupSeries:
         idx = g if isinstance(g, int) else self.group.index_of(g)
         return self.coeff[idx][n][k]
 
-    def row_total(self, n: int, k: int) -> int:
-        return sum(self.count(u, n, k) for u in range(self.group.order))
-
 
 def ap_series(d: Poly, N: int, K: int | None = None, method: str = "auto",
               budget: int | None = None) -> GroupSeries:

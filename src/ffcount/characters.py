@@ -1,5 +1,9 @@
 """Unit groups modulo a polynomial, their characters, and L-polynomials.
 
+The module also builds the character-twisted squarefree series that the
+character path of apinterval sums; the exact counts come from
+apinterval's tables, not from here.
+
 Representation conventions used throughout this module:
 
 * A unit group element is a canonical representative: the residue of degree
@@ -45,7 +49,6 @@ from itertools import product as _iproduct
 from .algebra import (
     Poly,
     enumerate_irreducibles,
-    enumerate_monics,
     factor_stats,
     irreducible_count,
     phi_poly,
@@ -64,8 +67,6 @@ __all__ = [
     "cyclotomic_polynomial",
     "l_polynomial",
     "root_unity_sum_is_zero",
-    "twisted_count",
-    "twisted_dz_sum",
     "twisted_series",
     "unit_group",
     "weil_check",
@@ -680,51 +681,3 @@ def twisted_series(chi: DirichletChar, N: int, K: int | None = None):
                         acc += binom[j] * zj * rows[n - dp * j][k - j]
                     rows[n][k] = acc
     return tuple(tuple(r) for r in rows)
-
-
-def twisted_count(n: int, k: int, chi: DirichletChar) -> complex:
-    """Character-weighted count of squarefree degree-n monics with k factors.
-
-    Computed two ways (direct enumeration and the truncated Euler product);
-    the paths must agree to 1e-8 or a ConsistencyError is raised.
-    """
-    if n < 0 or k < 0:
-        raise ValueError("n and k must be nonnegative")
-    g = chi.group
-    direct = 0j
-    for f in enumerate_monics(g.field, n):
-        e = chi.value_exponent(f)
-        if e is None:
-            continue
-        st = factor_stats(f)
-        if st.squarefree and st.omega == k:
-            direct += cmath.exp(2j * math.pi * e / g.exponent)
-    series = twisted_series(chi, n)
-    viaproduct = series[n][k] if k < len(series[n]) else 0j
-    if abs(direct - viaproduct) > 1e-8:
-        raise ConsistencyError(
-            "twisted count paths disagree: enumeration %r vs product %r"
-            % (direct, viaproduct))
-    return viaproduct
-
-
-def twisted_dz_sum(chi: DirichletChar, n: int, z) -> complex:
-    """Sum over degree-n monics of the z-th divisor weight times chi.
-
-    Equals the T^n coefficient of L(T, chi)^z, computed by the log-derivative
-    recurrence n p_n = sum_{a=1}^{n} (a z - (n - a)) l_a p_{n-a}.
-    """
-    if chi.is_principal:
-        raise ValueError("defined here for non-principal characters only")
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    zc = complex(z)
-    lp = l_polynomial(chi)
-    l = lp.coeffs
-    p = [1 + 0j]
-    for m in range(1, n + 1):
-        acc = 0j
-        for a in range(1, min(m, len(l) - 1) + 1):
-            acc += (a * zc - (m - a)) * l[a] * p[m - a]
-        p.append(acc / m)
-    return p[n]

@@ -8,7 +8,8 @@ Representation conventions used throughout this module:
   polynomials in the same format.
 * The field comes from --q <prime power> (shorthand, picks the default
   modulus when the exponent exceeds 1) or from --p with optional --e and
-  --modulus.  Giving both --q and --p is a usage error.
+  --modulus.  --q with any of --p, --e, --modulus, or --e or --modulus
+  without --p, is a usage error.
 * Integer ranges: "8" is a single point, "2:8" is inclusive with step 1,
   "50:400:x2" is geometric with integer factor 2, capped at the upper
   endpoint.
@@ -20,10 +21,12 @@ Representation conventions used throughout this module:
   parameter tuple, and nothing reads the clock.  Memory-heavy commands
   honor FFCOUNT_BUDGET_BYTES and the --budget override.
 * --out writes to a temporary file in the destination directory and
-  renames it over the target, so readers never see a partial report.
+  renames it over the target, so readers never see a partial report; a
+  target that cannot be written is a usage error and leaves no temp file.
 
 Exit codes: 0 success, 2 usage error, 3 budget exceeded, 4 consistency
-failure (a dual-path mismatch or a failed selftest).
+failure (a dual-path mismatch, a character sum past the float range, or a
+failed selftest).
 """
 
 from __future__ import annotations
@@ -77,7 +80,7 @@ from .exactcount import (
     omega_moments,
 )
 
-__all__ = ["UsageError", "main", "run"]
+__all__ = ["UsageError", "main"]
 
 
 class UsageError(Exception):
@@ -139,27 +142,27 @@ def _prime_power(q: int) -> tuple[int, int]:
 
 
 def _field_from_args(args, required: bool = True) -> FieldSpec | None:
-    if args.q is not None and args.p is not None:
-        raise UsageError("give either --q or --p, not both")
+    mod = None
     if args.q is not None:
+        if (args.p, args.e, args.modulus) != (None, None, None):
+            raise UsageError("--q cannot be combined with --p, --e or --modulus")
         p, e = _prime_power(args.q)
-        if e == 1:
-            return FieldSpec(p)
-        return FieldSpec(p, e, default_modulus(p, e))
-    if args.p is None:
-        if required:
-            raise UsageError("a field is required: pass --q or --p")
+    elif args.p is not None:
+        p, e = args.p, args.e if args.e is not None else 1
+        if args.modulus is not None:
+            try:
+                mod = tuple(int(c) for c in args.modulus.split(","))
+            except ValueError:
+                raise UsageError(f"--modulus: cannot parse {args.modulus!r}") from None
+    elif args.e is not None or args.modulus is not None:
+        raise UsageError("--e and --modulus need --p")
+    elif required:
+        raise UsageError("a field is required: pass --q or --p")
+    else:
         return None
-    e = args.e if args.e is not None else 1
-    if args.modulus is not None:
-        try:
-            mod = tuple(int(c) for c in args.modulus.split(","))
-        except ValueError:
-            raise UsageError(f"--modulus: cannot parse {args.modulus!r}") from None
-        return FieldSpec(args.p, e, mod)
-    if e == 1:
-        return FieldSpec(args.p)
-    return FieldSpec(args.p, e, default_modulus(args.p, e))
+    if mod is None and e != 1:
+        mod = default_modulus(p, e)
+    return FieldSpec(p, e, mod)
 
 
 def _poly_arg(fld: FieldSpec, text: str, what: str) -> Poly:
@@ -195,15 +198,17 @@ def _emit(text: str, out_path: str | None) -> None:
         sys.stdout.write(text)
         return
     target = os.path.abspath(out_path)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".ffcount-")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".ffcount-")
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
         os.replace(tmp, target)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        raise UsageError(f"--out: cannot write {out_path}: {exc.strerror or exc}") from None
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def _paths_agree(exact: int, char_value: float) -> bool:
@@ -296,6 +301,37 @@ def cmd_compare(args) -> Report:
         rows)
 
 
+def _dual_path_report(label, qy, exact, chars, term, payload, header, row) -> Report:
+    """Finish an ap or interval report: the character-path check, the main
+    term (evaluated with override outside its proven range) and the
+    report tail.  chars(qy) and term(override=...) are the command's own.
+    """
+    try:
+        char_value = chars(qy)
+        agree = _paths_agree(exact, char_value)
+    except OverflowError:
+        raise ConsistencyError(
+            f"the {label} character path left the float range") from None
+    if not agree:
+        raise ConsistencyError(
+            f"{label} paths disagree: exact {exact}, characters {char_value!r}")
+    char_path = round(char_value)
+    main_ln = None
+    in_range = False
+    if qy.n >= 2 and qy.k >= 1:
+        try:
+            main_ln = term().ln_abs
+            in_range = True
+        except ValueError as exc:
+            if "override" not in str(exc):
+                raise
+            main_ln = term(override=True).ln_abs
+    payload.update(exact=str(exact), char_path=str(char_path), paths_agree=True,
+                   main_term_lnAbs=main_ln, in_proven_range=in_range)
+    header += ("exact", "char_path", "main_term_lnAbs", "in_proven_range")
+    return Report(payload, header, [row + (exact, char_path, main_ln, in_range)])
+
+
 def cmd_ap(args) -> Report:
     fld = _field_from_args(args)
     q = fld.q
@@ -312,37 +348,11 @@ def cmd_ap(args) -> Report:
         exact = 0
     else:
         exact = pi_k_ap_exact(qy, budget=args.budget)
-    char_value = pi_k_ap_chars(qy)
-    if not _paths_agree(exact, char_value):
-        raise ConsistencyError(
-            f"progression paths disagree: exact {exact}, characters {char_value!r}")
-    main_ln = None
-    in_range = False
-    if n >= 2 and k >= 1:
-        try:
-            main_ln = main_term_thm2(n, k, d, cfg).ln_abs
-            in_range = True
-        except ValueError as exc:
-            if "override" not in str(exc):
-                raise
-            main_ln = main_term_thm2(n, k, d, cfg, override=True).ln_abs
-    payload = {
-        "command": "ap",
-        "q": q,
-        "d": d.text(),
-        "g": g.text(),
-        "n": n,
-        "k": k,
-        "exact": str(exact),
-        "char_path": str(round(char_value)),
-        "paths_agree": True,
-        "main_term_lnAbs": main_ln,
-        "in_proven_range": in_range,
-    }
-    header = ("q", "d", "g", "n", "k", "exact", "char_path",
-              "main_term_lnAbs", "in_proven_range")
-    row = (q, d.text(), g.text(), n, k, exact, round(char_value), main_ln, in_range)
-    return Report(payload, header, [row])
+    payload = {"command": "ap", "q": q, "d": d.text(), "g": g.text(), "n": n, "k": k}
+    return _dual_path_report(
+        "progression", qy, exact, pi_k_ap_chars,
+        lambda **kw: main_term_thm2(n, k, d, cfg, **kw),
+        payload, ("q", "d", "g", "n", "k"), (q, d.text(), g.text(), n, k))
 
 
 def cmd_interval(args) -> Report:
@@ -354,37 +364,11 @@ def cmd_interval(args) -> Report:
     k, h = args.k, args.h
     qy = IntervalQuery(n, k, g, h)
     exact = pi_k_interval_exact(qy, budget=args.budget)
-    char_value = pi_k_interval_chars(qy)
-    if not _paths_agree(exact, char_value):
-        raise ConsistencyError(
-            f"interval paths disagree: exact {exact}, characters {char_value!r}")
-    main_ln = None
-    in_range = False
-    if n >= 2 and k >= 1:
-        try:
-            main_ln = main_term_thm3(q, n, k, h, cfg).ln_abs
-            in_range = True
-        except ValueError as exc:
-            if "override" not in str(exc):
-                raise
-            main_ln = main_term_thm3(q, n, k, h, cfg, override=True).ln_abs
-    payload = {
-        "command": "interval",
-        "q": q,
-        "g": g.text(),
-        "n": n,
-        "h": h,
-        "k": k,
-        "exact": str(exact),
-        "char_path": str(round(char_value)),
-        "paths_agree": True,
-        "main_term_lnAbs": main_ln,
-        "in_proven_range": in_range,
-    }
-    header = ("q", "g", "n", "h", "k", "exact", "char_path",
-              "main_term_lnAbs", "in_proven_range")
-    row = (q, g.text(), n, h, k, exact, round(char_value), main_ln, in_range)
-    return Report(payload, header, [row])
+    payload = {"command": "interval", "q": q, "g": g.text(), "n": n, "h": h, "k": k}
+    return _dual_path_report(
+        "interval", qy, exact, pi_k_interval_chars,
+        lambda **kw: main_term_thm3(q, n, k, h, cfg, **kw),
+        payload, ("q", "g", "n", "h", "k"), (q, g.text(), n, h, k))
 
 
 def cmd_weil(args) -> Report:
@@ -672,6 +656,3 @@ def main(argv=None) -> int:
         print(f"ffcount: consistency failure: {exc}", file=sys.stderr)
         return 4
 
-
-def run(argv) -> int:
-    return main(argv)

@@ -123,9 +123,6 @@ class BiSeries:
             raise ValueError(f"row {n} outside [0, {self.N}]")
         return self.coeff[n]
 
-    def row_sum(self, n: int):
-        return sum(self.row(n))
-
 
 def _check_series_budget(q: int, N: int, K: int, bits_cap: int, budget: int | None) -> int:
     if N < 1 or K < 1:
@@ -284,116 +281,12 @@ def euler_product_allfactors(
     return BiSeries(q, N, K, coeff)
 
 
-# -- exact z-polynomials -------------------------------------------------------
-
-
-class ZPoly:
-    """Polynomial in z with exact rational coefficients, ascending order."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __call__(self, z):
-        acc = 0 if not isinstance(z, complex) else 0j
-        for c in reversed(self.coeffs):
-            acc = acc * z + (complex(c) if isinstance(z, complex) else c)
-        return acc
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ZPoly) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __repr__(self) -> str:
-        return f"ZPoly({list(self.coeffs)})"
-
-
-def dz_polynomial(q, n: int) -> ZPoly:
-    """Coefficient of T^n in (1 - qT)^(-z), exactly: q^n binom(n+z-1, n).
-
-    Expanded as the rational-coefficient polynomial
-    q^n / n! * z (z+1) ... (z+n-1).
-    """
-    q = _coerce_q(q)
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if n == 0:
-        return ZPoly([1])
-    coeffs = [0, 1]  # z
-    for j in range(1, n):
-        nxt = [0] * (len(coeffs) + 1)
-        for i, c in enumerate(coeffs):
-            nxt[i] += j * c
-            nxt[i + 1] += c
-        coeffs = nxt
-    scale = Fraction(q**n, math.factorial(n))
-    return ZPoly([scale * c for c in coeffs])
-
-
 def rising_factorial_over_factorial(n: int, z: complex) -> complex:
     """binom(n + z - 1, n) evaluated in floating point: prod (z+j)/(1+j)."""
     acc = complex(1.0)
     for j in range(n):
         acc *= (z + j) / (1 + j)
     return acc
-
-
-def dz_eval(q, n: int, z: complex) -> complex:
-    """Floating-point value of dz_polynomial(q, n) at z."""
-    q = _coerce_q(q)
-    return rising_factorial_over_factorial(n, complex(z)) * float(q) ** n
-
-
-def zeta_inverse_power_rows(q, N: int) -> list[list[Fraction]]:
-    """Rows of (1 - qT)^z: coefficient of T^n is (-q)^n binom(z, n), as z-polynomials."""
-    q = _coerce_q(q)
-    rows = [[Fraction(1)]]
-    for n in range(1, N + 1):
-        # binom(z, n) = binom(z, n-1) * (z - n + 1) / n
-        prev = rows[-1]
-        nxt = [Fraction(0)] * (len(prev) + 1)
-        for i, c in enumerate(prev):
-            nxt[i + 1] += c
-            nxt[i] += (1 - n) * c
-        rows.append([c / n for c in nxt])
-    return [[(-q) ** n * c for c in row] for n, row in enumerate(rows)]
-
-
-def bz_series(q, N: int) -> BiSeries:
-    """Correction-factor series: squarefree product times (1 - qT)^z.
-
-    Row n is an exact rational z-polynomial; row 0 is 1 and row 1 vanishes
-    identically because the degree-1 terms of the two factors cancel.
-    """
-    q = _coerce_q(q)
-    if N < 1:
-        raise ValueError("N must be >= 1")
-    sf = euler_product_squarefree(q, N, max(1, max_omega(q, N)))
-    zrows = zeta_inverse_power_rows(q, N)
-    K = N
-    coeff = []
-    for n in range(N + 1):
-        acc = [Fraction(0)] * (K + 1)
-        for a in range(n + 1):
-            arow = sf.coeff[a]
-            zrow = zrows[n - a]
-            for i, ca in enumerate(arow):
-                if ca:
-                    for j, cz in enumerate(zrow):
-                        if cz and i + j <= K:
-                            acc[i + j] += ca * cz
-        coeff.append(acc)
-    return BiSeries(q, N, K, coeff)
 
 
 # -- enumeration oracle ----------------------------------------------------------

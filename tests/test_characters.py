@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-import cmath
-import math
 import random
 import tracemalloc
 from fractions import Fraction
@@ -26,8 +24,6 @@ from ffcount.characters import (
     cyclotomic_polynomial,
     l_polynomial,
     root_unity_sum_is_zero,
-    twisted_count,
-    twisted_dz_sum,
     twisted_series,
     unit_group,
     weil_check,
@@ -314,6 +310,10 @@ def test_l_constant_coefficient_is_one_and_degree_bound():
             assert len(lp.coeffs) == g.m
             assert lp.effective_degree <= g.m - 1
             assert len(lp.inverse_roots) == lp.effective_degree
+            # c_j is chi summed over the monics of degree j
+            for j in range(g.m):
+                direct = sum(chi(f) for f in enumerate_monics(d.field, j))
+                assert abs(lp.coeffs[j] - direct) < 1e-9, (d.text(), chi.exponents, j)
 
 
 def test_character_sums_vanish_at_and_above_modulus_degree():
@@ -368,78 +368,21 @@ def test_weil_report_shape():
 
 
 def test_twisted_series_principal_matches_coprime_squarefree_counts():
-    g = unit_group(_p(F3, "0,1"))
-    chi0 = characters(g)[0]
-    rows = twisted_series(chi0, 6)
-    for n in range(7):
-        for k in range(len(rows[n])):
-            direct = 0
-            for f in enumerate_monics(F3, n):
-                if chi0.value_exponent(f) is None:
-                    continue
-                st = factor_stats(f)
-                if st.squarefree and st.omega == k:
-                    direct += 1
-            assert abs(rows[n][k] - direct) < 1e-9
-
-
-def test_twisted_count_dual_path_agreement():
-    for d in (_p(F3, "1,0,1"), _p(F2, "0,0,1")):
-        g = unit_group(d)
-        for chi in characters(g)[1:3]:
-            for n in range(7):
-                for k in range(n + 1):
-                    twisted_count(n, k, chi)  # consistency check is internal
-
-
-def test_twisted_count_validation():
-    g = unit_group(_p(F2, "0,0,1"))
-    chi = characters(g)[1]
-    with pytest.raises(ValueError):
-        twisted_count(-1, 0, chi)
-
-
-def _dz_weight(f, z):
-    acc = complex(1.0)
-    for _, a in factor_stats(f).factors:
-        term = complex(1.0)
-        for i in range(a):
-            term *= (z + i)
-        acc *= term / math.factorial(a)
-    return acc
-
-
-def test_twisted_dz_sum_matches_enumeration():
-    g = unit_group(_p(F3, "1,0,1"))
-    chi = characters(g)[1]
-    for z in (1, 2, 1 + 1j):
+    # every character, the principal one included, against the sum of
+    # chi(f) over the enumerated squarefree monics with k factors
+    for d in (_p(F3, "1,0,1"), _p(F2, "0,0,0,1")):
+        by_shape = {}
         for n in range(7):
-            direct = complex(0.0)
-            for f in enumerate_monics(F3, n):
-                e = chi.value_exponent(f)
-                if e is None:
-                    continue
-                direct += _dz_weight(f, z) * cmath.exp(2j * math.pi * e / g.exponent)
-            assert abs(twisted_dz_sum(chi, n, z) - direct) < 1e-9
-
-
-def test_twisted_dz_sum_weil_style_bound():
-    # |coefficient of T^n in L^z| <= q^(n/2) binom(n + A m, n) for |z| <= A
-    g = unit_group(_p(F3, "1,0,1"))
-    A, m = 2, 2
-    for chi in characters(g)[1:]:
-        for z in (1, 2, 1 + 1j):
-            for n in range(11):
-                p = twisted_dz_sum(chi, n, z)
-                assert abs(p) <= 3 ** (n / 2) * math.comb(n + A * m, n) + 1e-9
-
-
-def test_twisted_dz_sum_rejects_principal():
-    g = unit_group(_p(F2, "0,0,1"))
-    with pytest.raises(ValueError):
-        twisted_dz_sum(characters(g)[0], 3, 1)
-    with pytest.raises(ValueError):
-        twisted_dz_sum(characters(g)[1], -1, 1)
+            for f in enumerate_monics(d.field, n):
+                st = factor_stats(f)
+                if st.squarefree:
+                    by_shape.setdefault((n, st.omega), []).append(f)
+        for chi in characters(unit_group(d)):
+            rows = twisted_series(chi, 6)
+            for n in range(7):
+                for k in range(len(rows[n])):
+                    direct = sum(chi(f) for f in by_shape.get((n, k), ()))
+                    assert abs(rows[n][k] - direct) < 1e-9, (d.text(), chi.exponents, n, k)
 
 
 def test_auto_method_avoids_a_sieve_past_the_enumeration_budget():

@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -68,6 +70,17 @@ def test_dual_path_mismatch_exits_4(monkeypatch, capsys):
 
 def test_field_flag_conflict(capsys):
     assert run_cli(capsys, ["count", "--q", "2", "--p", "2", "--n", "3"])[0] == 2
+
+
+def test_extension_flags_without_p_exit_2(capsys):
+    # --e and --modulus refine --p; --q picks its own modulus, and qlimit
+    # runs without a field, so neither may drop them silently
+    for argv in (["count", "--q", "4", "--n", "3", "--e", "3"],
+                 ["count", "--q", "4", "--n", "3", "--modulus", "1,1,1"],
+                 ["qlimit", "--n", "5", "--k", "2", "--e", "3"]):
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("ffcount: ")
 
 
 def test_prime_power_shorthand(capsys):
@@ -141,6 +154,17 @@ def test_out_writes_file_and_cleans_up(tmp_path, capsys):
     payload = json.loads(target.read_text())
     assert payload["sum"] == "25/12"
     assert os.listdir(tmp_path) == ["report.json"]
+
+
+def test_out_to_an_unwritable_target_exits_2(tmp_path, capsys):
+    # a missing directory, and a directory in the target's place
+    (tmp_path / "taken").mkdir()
+    for target in (tmp_path / "missing" / "x.json", tmp_path / "taken"):
+        code, out, err = run_cli(
+            capsys, ["count", "--q", "2", "--n", "3", "--out", str(target)])
+        assert (code, out) == (2, "")
+        assert err.startswith("ffcount: --out: ") and err.count("\n") == 1
+        assert os.listdir(tmp_path) == ["taken"]  # no temporary file left
 
 
 def test_weil_example(capsys):
@@ -240,6 +264,22 @@ def test_interval_sweeps_each_character_once(monkeypatch, capsys):
     payload = json.loads(out)
     assert payload["char_path"] == payload["exact"]
     assert len(calls) == len(set(calls)) == 12
+
+
+@pytest.mark.parametrize("argv", [
+    ["ap", "--q", "5", "--d", "1,1", "--g", "1", "--n", "445", "--k", "1"],
+    ["interval", "--q", "2", "--g", ",".join(["0"] * 1040 + ["1"]), "--h", "1039",
+     "--k", "1"],
+], ids=["ap", "interval"])
+def test_character_path_past_the_float_range_keeps_the_exit_codes(argv):
+    # q^n is past the double range, so the float character path cannot
+    # represent the counts; the run must still end with a contract exit code
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "ffcount", *argv],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode in (0, 2, 3, 4)
+    assert "Traceback" not in proc.stderr
 
 
 def test_interval_matches_enumeration(capsys):
