@@ -58,6 +58,38 @@ def _is_prime_int(n: int) -> bool:
     return True
 
 
+# Miller-Rabin with the first 13 prime bases is exact below this bound
+# (Sorenson and Webster); the character path's primes are below 2^62
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BELOW = 3317044064679887385961981
+
+
+def _is_prime_mr(n: int) -> bool:
+    """Deterministic Miller-Rabin test for n below 3.3e24."""
+    if n >= _MR_EXACT_BELOW:
+        raise ValueError("the Miller-Rabin bases are only proven below 3.3e24")
+    if n < 2:
+        return False
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 class FieldSpec:
     """A finite field F_{p^e} with canonical integer element encoding."""
 

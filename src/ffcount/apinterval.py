@@ -27,12 +27,15 @@ Representation conventions used throughout this module:
   degree and factor count by one.  interval_progressions is the one place
   that builds these terms; the exact and the character paths both sum
   over them.
+* The character path is exact and independent of the tables: for each
+  word-size prime P = 1 (mod E) it sums conj(chi(g)) F_chi[n][k] over
+  the characters in F_P, where F_chi is the twisted series that
+  characters builds from L-polynomials alone, and CRT over as many
+  primes as the largest possible count needs returns the integer.
 """
 
 from __future__ import annotations
 
-import cmath
-import math
 from dataclasses import dataclass
 
 from .algebra import (
@@ -42,7 +45,7 @@ from .algebra import (
     involute,
     poly_gcd,
 )
-from .characters import characters, twisted_series, unit_group
+from .characters import CharacterSums, twisted_series, unit_group, word_primes
 from .errors import BudgetExceededError, ConsistencyError
 from .exactcount import byte_budget, euler_product_packed, max_omega, slot_bits
 
@@ -177,47 +180,50 @@ def pi_k_ap_exact(qy: APQuery, series: GroupSeries | None = None,
     return series.count(qy.g, n, k)
 
 
-def pi_k_ap_chars(qy: APQuery) -> float:
+def pi_k_ap_chars(qy: APQuery) -> int:
     """The same progression count assembled from all characters mod d.
 
-    Averages conj(chi(g)) times the character-twisted count over the dual
-    group; the imaginary parts must cancel to 1e-8.
+    Sums conj(chi(g)) times the character-twisted count over the dual
+    group, exactly: in F_P for word-size primes P, combined by CRT.
     """
     return _char_sweep(qy.d, ((qy.g, qy.n, qy.k),))
 
 
-def _char_sweep(d: Poly, terms) -> float:
+def _char_sweep(d: Poly, terms) -> int:
     """Sum of the character-assembled counts of the terms (g, n, k) mod d.
 
-    One sweep over the characters serves every term: one twisted series
-    per character, deep enough for all of them.  Each term keeps its own
-    accumulator and its own imaginary-part check.
+    Per prime P, one twisted series per character, deep enough for every
+    term, serves all of them: the sum is |G|^(-1) sum over chi and terms
+    of conj(chi(g)) F_chi[n][k] mod P.  Primes are added until their
+    product exceeds the largest possible sum, so the CRT value is exact.
     """
     group = unit_group(d)
     # a count that is zero by its degree is left out of the sweep
     live = [(g, n, k) for g, n, k in terms
             if k <= n and (n == 0 or k <= max_omega(group.q, n))]
     if not live:
-        return 0.0
+        return 0
     N = max(n for _, n, _ in live)
     # only columns up to the largest k are read, so truncating there is safe
     K = max(max(1, k) if n >= 1 else 0 for _, n, k in live)
-    gidx = [group.index_of(g) for g, _, _ in live]
-    E = group.exponent
-    accs = [0j] * len(live)
-    for chi in characters(group):
-        rows = twisted_series(chi, N, K)
-        for i, (_, n, k) in enumerate(live):
-            e = chi.value_exponent(gidx[i])
-            accs[i] += cmath.exp(-2j * math.pi * e / E) * rows[n][k]
-    total = 0.0
-    for acc in accs:
-        acc /= group.order
-        if abs(acc.imag) > 1e-8:
-            raise ConsistencyError(
-                f"character sum has imaginary part {acc.imag:.3e}")
-        total += acc.real
-    return total
+    gvecs = [group.dlog(group.index_of(g)) for g, _, _ in live]
+    # each term counts monics of degree at most N
+    bound = len(live) * group.q ** N
+    total, modulus = 0, 1
+    for P in word_primes(group.exponent):
+        sums = CharacterSums(group, N, P)
+        conj = [sums.conjugate_values(vec) for vec in gvecs]
+        acc = 0
+        for c in range(group.order):
+            rows = twisted_series(c, sums, K)
+            for vals, (_, n, k) in zip(conj, live):
+                acc += vals[c] * rows[n][k]
+        r = acc * pow(group.order, -1, P) % P
+        total += modulus * ((r - total) * pow(modulus, -1, P) % P)
+        modulus *= P
+        if modulus > bound:
+            return total
+    raise ConsistencyError("ran out of word-size primes for the character sum")
 
 
 def interval_progressions(qy: IntervalQuery):
@@ -263,13 +269,13 @@ def pi_k_interval_exact(qy: IntervalQuery, budget: int | None = None,
     return sum(series.count(r, tn, tk) for r, tn, tk in terms)
 
 
-def pi_k_interval_chars(qy: IntervalQuery) -> float:
+def pi_k_interval_chars(qy: IntervalQuery) -> int:
     """The interval count assembled from the characters mod X^(n-h).
 
     One character sweep serves all terms of interval_progressions.
     """
     if qy.k == 0:
-        return 0.0
+        return 0
     d, terms = interval_progressions(qy)
     return _char_sweep(d, terms)
 

@@ -1,8 +1,10 @@
 """Unit groups modulo a polynomial, their characters, and L-polynomials.
 
-The module also builds the character-twisted squarefree series that the
-character path of apinterval sums; the exact counts come from
-apinterval's tables, not from here.
+The module also builds the exact character path that apinterval sums:
+the prime sums of every character and the character-twisted squarefree
+series, in F_P for word-size primes P.  It reads only the monic residues
+and the discrete-log table of the group, never the irreducible class
+counts behind apinterval's tables, so the two paths check each other.
 
 Representation conventions used throughout this module:
 
@@ -28,7 +30,8 @@ Representation conventions used throughout this module:
 * A character is an exponent vector against the basis: its value on
   generator i is the order-n_i root of unity raised to exponents[i].
   Values stay exact (integers modulo the group exponent E) until a caller
-  asks for a complex float.  Exact zero tests for sums of roots of unity
+  asks for a complex float, or for a residue mod a prime P = 1 (mod E),
+  where zeta_E maps to a fixed element of exact order E.  Exact zero tests for sums of roots of unity
   reduce the integer count polynomial modulo the E-th cyclotomic
   polynomial, so orthogonality checks carry no float tolerance at all.
 * L-polynomial coefficients are indexed from degree 0 with c_0 = 1 (the
@@ -45,6 +48,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product as _iproduct
+from operator import add, mul, sub
 
 from .algebra import (
     Poly,
@@ -54,11 +58,12 @@ from .algebra import (
     phi_poly,
     poly_gcd,
     _int_factorization,
+    _is_prime_mr,
 )
 from .errors import BudgetExceededError, ConsistencyError, RootFindingError
-from .exactcount import max_omega
 
 __all__ = [
+    "CharacterSums",
     "DEFAULT_GROUP_BUDGET",
     "DirichletChar",
     "LPoly",
@@ -66,10 +71,12 @@ __all__ = [
     "characters",
     "cyclotomic_polynomial",
     "l_polynomial",
+    "root_of_unity",
     "root_unity_sum_is_zero",
     "twisted_series",
     "unit_group",
     "weil_check",
+    "word_primes",
 ]
 
 DEFAULT_GROUP_BUDGET = 100_000
@@ -644,40 +651,148 @@ def weil_check(chi: DirichletChar, tol: float = 1e-6) -> dict:
     }
 
 
-def twisted_series(chi: DirichletChar, N: int, K: int | None = None):
-    """Rows [n][k] of the character-twisted squarefree factor-count series.
+def word_primes(E: int):
+    """Primes P below 2^62 with P = 1 (mod E), largest first."""
+    k = (2**62 - 2) // E
+    while k > 0:
+        P = 1 + k * E
+        if _is_prime_mr(P):
+            yield P
+        k -= 1
 
-    Truncated product over irreducibles p coprime to the modulus of
-    (1 + z chi(p) T^deg p), grouped by (degree, character value) so the
-    work scales with N * group exponent rather than the irreducible count.
+
+def root_of_unity(E: int, P: int) -> int:
+    """The first a^((P-1)/E), a = 2, 3, ..., of exact order E modulo the prime P."""
+    if (P - 1) % E:
+        raise ValueError("P - 1 is not a multiple of E")
+    ells = _int_factorization(E)
+    for a in range(2, P):
+        w = pow(a, (P - 1) // E, P)
+        if all(pow(w, E // ell, P) != 1 for ell in ells):
+            return w
+    raise ValueError("no element of order E modulo P")
+
+
+def _char_exponents(group: UnitGroup, vec) -> list[int]:
+    """Value exponents, modulo E, of the element with dlog vector vec under
+    every character, in the order of characters(group)."""
+    E = group.exponent
+    out = [0]
+    for t, (_, n) in zip(vec, group.structure):
+        step = [e * t * (E // n) % E for e in range(n)]
+        out = [(v + s) % E for v in out for s in step]
+    return out
+
+
+def _char_power_map(group: UnitGroup, r: int) -> list[int]:
+    """Index of chi^r for every character index, in the order of characters(group)."""
+    out = [0]
+    for _, n in group.structure:
+        out = [c * n + e * r % n for c in out for e in range(n)]
+    return out
+
+
+class CharacterSums:
+    """Degree-weighted prime sums of every character mod d, in F_P, to degree N.
+
+    P is a prime with P = 1 (mod E), E the group exponent, and
+    powers[e] = w^e for the root_of_unity w of order E mod P; sending
+    zeta_E to w maps Z[zeta_E] onto F_P, so every entry is the image of an
+    exact algebraic integer.  A
+    character is addressed by its index c, its position in
+    characters(group).  weights[t][c] = t * P_chi(t) mod P, where P_chi(t)
+    sums chi over the monic irreducibles of degree t not dividing d.  The
+    table is built without the irreducibles or their class counts:
+
+    1. chi(u) = w^(value exponent), from the dlog vector of u.
+    2. L(T, chi) has coefficients c_j = sum of chi over monic_residues[j]
+       for j < m, and none above m - 1 when chi is not principal.
+    3. psi(n) = n c_n - sum_(0<j<n) c_j psi(n-j) is the T^n coefficient
+       of T L'/L, the sum of deg(p) chi(p)^r over prime powers p^r of
+       degree n.  For the principal character, L = Z(T) prod_(p|d) (1 -
+       T^deg p) and psi(n) = q^n - sum of deg p over p | d with deg p | n.
+    4. t P_chi(t) = psi_chi(t) - sum over e | t, e < t of e P_(chi^(t/e))(e).
     """
-    g = chi.group
-    if K is None:
-        K = min(N, max_omega(g.q, N)) if N >= 1 else 0
-    rows = [[0j] * (K + 1) for _ in range(N + 1)]
-    rows[0][0] = 1 + 0j
-    classes = g.irreducible_classes(N)
-    E = g.exponent
-    for dp in range(1, N + 1):
-        by_exp: dict[int, int] = {}
-        for idx, cnt in classes[dp].items():
-            e = chi.value_exponent(idx)
-            by_exp[e] = by_exp.get(e, 0) + cnt
-        for e, cnt in sorted(by_exp.items()):
-            zeta = cmath.exp(2j * math.pi * e / E)
-            # multiply by (1 + z zeta T^dp)^cnt expanded binomially
-            jmax = min(K, N // dp)
-            binom = [1]
-            for j in range(1, jmax + 1):
-                binom.append(binom[-1] * (cnt - j + 1) // j)
-            for n in range(N, dp - 1, -1):
-                for k in range(min(K, n), 0, -1):
-                    acc = rows[n][k]
-                    zj = 1 + 0j
-                    for j in range(1, jmax + 1):
-                        if n - dp * j < 0 or k - j < 0:
-                            break
-                        zj *= zeta
-                        acc += binom[j] * zj * rows[n - dp * j][k - j]
-                    rows[n][k] = acc
-    return tuple(tuple(r) for r in rows)
+
+    __slots__ = ("group", "N", "P", "powers", "inverses", "weights", "_maps")
+
+    def __init__(self, group: UnitGroup, N: int, P: int):
+        E, order = group.exponent, group.order
+        self.group, self.N, self.P = group, N, P
+        root = root_of_unity(E, P)
+        powers = [1]
+        for _ in range(E - 1):
+            powers.append(powers[-1] * root % P)
+        self.powers = powers
+        self.inverses = [0] + [pow(n, -1, P) for n in range(1, N + 1)]
+        self._maps: dict[int, list[int]] = {}
+        J = min(group.m - 1, N)
+        coeffs: list = [None]
+        for j in range(1, J + 1):
+            acc = [0] * order
+            for u in group.monic_residues[j]:
+                vals = map(powers.__getitem__, _char_exponents(group, group.dlog(u)))
+                acc = list(map(add, acc, vals))
+            coeffs.append([x % P for x in acc])
+        psi: list = [None]
+        for n in range(1, N + 1):
+            acc = [n * x for x in coeffs[n]] if n <= J else [0] * order
+            for j in range(1, min(n - 1, J) + 1):
+                acc = list(map(sub, acc, map(mul, coeffs[j], psi[n - j])))
+            psi.append([x % P for x in acc])
+        # index 0 is the principal character
+        bad = [p.degree for p, _ in factor_stats(group.d).factors]
+        for n in range(1, N + 1):
+            psi[n][0] = (pow(group.q, n, P) - sum(b for b in bad if n % b == 0)) % P
+        divisors: list[list[int]] = [[] for _ in range(N + 1)]
+        for e in range(1, N // 2 + 1):
+            for t in range(2 * e, N + 1, e):
+                divisors[t].append(e)
+        weights: list = [None]
+        for t in range(1, N + 1):
+            acc = psi[t]
+            for e in divisors[t]:
+                acc = list(map(sub, acc, map(weights[e].__getitem__, self.power_map(t // e))))
+            weights.append([x % P for x in acc])
+        self.weights = weights
+
+    def power_map(self, r: int) -> list[int]:
+        """The index of chi^r for every character index."""
+        r %= self.group.exponent
+        pm = self._maps.get(r)
+        if pm is None:
+            pm = self._maps[r] = _char_power_map(self.group, r)
+        return pm
+
+    def conjugate_values(self, vec) -> list[int]:
+        """conj(chi)(u) mod P for every character, u given by its dlog vector."""
+        E, powers = self.group.exponent, self.powers
+        return [powers[-e % E] for e in _char_exponents(self.group, vec)]
+
+
+def twisted_series(c: int, sums: CharacterSums, K: int):
+    """Rows [n][k], n <= sums.N and k <= K, of the twisted squarefree series mod P.
+
+    The series of character c is the product over irreducibles p not
+    dividing d of (1 + z chi(p) T^deg p).  Its log-derivative gives
+
+        n F_n = sum_m (-1)^(m-1) z^m sum_t t P_(chi^m)(t) F_(n-mt),
+
+    so each row costs a few dot products against the weights of sums.
+    """
+    N, P = sums.N, sums.P
+    weights = sums.weights
+    a = [None]
+    for m in range(1, K + 1):
+        cm = sums.power_map(m)[c]
+        a.append([weights[t][cm] for t in range(1, N // m + 1)])
+    cols = [[1] + [0] * N] + [[0] * (N + 1) for _ in range(K)]
+    for n in range(1, N + 1):
+        inv = sums.inverses[n]
+        for k in range(1, min(n, K) + 1):
+            total = 0
+            for m in range(1, k + 1):
+                part = sum(map(mul, a[m][:n // m], cols[k - m][n - m::-m]))
+                total = total + part if m & 1 else total - part
+            cols[k][n] = total * inv % P
+    return tuple(tuple(col[n] for col in cols) for n in range(N + 1))

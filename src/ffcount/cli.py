@@ -25,8 +25,8 @@ Representation conventions used throughout this module:
   target that cannot be written is a usage error and leaves no temp file.
 
 Exit codes: 0 success, 2 usage error, 3 budget exceeded, 4 consistency
-failure (a dual-path mismatch, a character sum past the float range, or a
-failed selftest).
+failure (the exact and character counts of ap or interval differ, or a
+selftest check failed).
 """
 
 from __future__ import annotations
@@ -211,11 +211,6 @@ def _emit(text: str, out_path: str | None) -> None:
             os.unlink(tmp)
 
 
-def _paths_agree(exact: int, char_value: float) -> bool:
-    # absolute slack for small counts, relative for counts past float precision
-    return abs(char_value - exact) <= max(0.5, 1e-9 * abs(exact))
-
-
 def cmd_count(args) -> Report:
     fld = _field_from_args(args)
     q = fld.q
@@ -306,16 +301,10 @@ def _dual_path_report(label, qy, exact, chars, term, payload, header, row) -> Re
     term (evaluated with override outside its proven range) and the
     report tail.  chars(qy) and term(override=...) are the command's own.
     """
-    try:
-        char_value = chars(qy)
-        agree = _paths_agree(exact, char_value)
-    except OverflowError:
+    char_path = chars(qy)
+    if char_path != exact:
         raise ConsistencyError(
-            f"the {label} character path left the float range") from None
-    if not agree:
-        raise ConsistencyError(
-            f"{label} paths disagree: exact {exact}, characters {char_value!r}")
-    char_path = round(char_value)
+            f"{label} paths disagree: exact {exact}, characters {char_path}")
     main_ln = None
     in_range = False
     if qy.n >= 2 and qy.k >= 1:
@@ -492,7 +481,7 @@ def _selftest_checks():
         exact = pi_k_ap_exact(qy)
         if exact != ap_enumerate(qy):
             return False
-        return _paths_agree(exact, pi_k_ap_chars(qy))
+        return pi_k_ap_chars(qy) == exact
 
     def interval_involution():
         g = Poly.x(f2, 5)

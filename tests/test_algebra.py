@@ -6,6 +6,8 @@ import pytest
 
 from ffcount.algebra import (
     NEG_INF,
+    _is_prime_int,
+    _is_prime_mr,
     FieldSpec,
     Poly,
     default_modulus,
@@ -298,3 +300,17 @@ def test_scale_and_monic():
     assert g.monic() == _p(F3, "1,1")
     with pytest.raises(ValueError):
         f.scale(3)
+
+
+def test_miller_rabin_matches_trial_division_and_rejects_strong_pseudoprimes():
+    assert all(_is_prime_mr(n) == _is_prime_int(n) for n in range(10**5))
+    # strong pseudoprimes to the bases 2, 3, 5, 7 and to every prime base
+    # up to 23; only the later bases expose them
+    assert not _is_prime_mr(3215031751)
+    assert not _is_prime_mr(3825123056546413051)
+    # the Mersenne prime 2^61 - 1 and the largest prime below 2^62
+    assert _is_prime_mr(2**61 - 1)
+    assert _is_prime_mr(2**62 - 57)
+    assert not any(_is_prime_mr(2**62 - j) for j in range(1, 57))
+    with pytest.raises(ValueError):
+        _is_prime_mr(2**82)

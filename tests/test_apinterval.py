@@ -14,6 +14,7 @@ from ffcount.algebra import (
     parse_poly,
     phi_poly,
 )
+from ffcount import apinterval
 from ffcount.apinterval import (
     APQuery,
     GroupSeries,
@@ -23,10 +24,17 @@ from ffcount.apinterval import (
     interval_enumerate,
     pi_k_ap_chars,
     pi_k_ap_exact,
+    pi_k_interval_chars,
     pi_k_interval_exact,
 )
 from ffcount.asym import thm2_normalized_error, thm3_normalized_error
-from ffcount.characters import characters, twisted_series, unit_group
+from ffcount.characters import (
+    CharacterSums,
+    UnitGroup,
+    twisted_series,
+    unit_group,
+    word_primes,
+)
 from ffcount.errors import BudgetExceededError
 from ffcount.exactcount import euler_product_squarefree
 
@@ -178,7 +186,7 @@ def test_triple_path_agreement_all_small_moduli():
                             qy = APQuery(n, k, g, d)
                             want = bucket.get((g.coeffs, n, k), 0)
                             assert pi_k_ap_exact(qy, series=s) == want
-                            assert pi_k_ap_chars(qy) == pytest.approx(want, abs=1e-6)
+                            assert pi_k_ap_chars(qy) == want
 
 
 def test_ap_exact_matches_brute_force_oracle():
@@ -246,13 +254,71 @@ def test_residue_sum_closure():
 def test_principal_character_retains_coprime_totals():
     d = _p(F3, "1,0,1")
     g = unit_group(d)
-    chi0 = characters(g)[0]
     s = ap_series(d, 6)
-    rows = twisted_series(chi0, 6)
+    P = next(word_primes(g.exponent))
+    rows = twisted_series(0, CharacterSums(g, 6, P), s.K)
     for n in range(7):
         for k in range(min(n, s.K) + 1):
-            assert rows[n][k].real == pytest.approx(_total(s, n, k))
-            assert abs(rows[n][k].imag) < 1e-12
+            assert rows[n][k] == _total(s, n, k) % P
+
+
+def test_character_path_combines_several_primes_by_crt(monkeypatch):
+    # q^n = 2^70 is past one word-size prime, so the sum needs two of them
+    d = _p(F2, "1,1,0,1")
+    drawn = []
+    real = apinterval.word_primes
+
+    def counted(E):
+        for P in real(E):
+            drawn.append(P)
+            yield P
+
+    monkeypatch.setattr(apinterval, "word_primes", counted)
+    s = ap_series(d, 70, 3)
+    for gi in range(s.group.order):
+        for k in (1, 3):
+            qy = APQuery(70, k, s.group.elements[gi], d)
+            drawn.clear()
+            assert pi_k_ap_chars(qy) == pi_k_ap_exact(qy, series=s)
+            assert len(drawn) == 2
+
+
+def test_character_path_reads_no_class_counts(monkeypatch):
+    # X^m, prime powers and mixed factorizations, over F_2, F_3, F_4, F_5:
+    # every residue, against the exact tables built before the class counts
+    # are cut off
+    moduli = [(F2, "0,0,0,1"), (F3, "0,0,1"), (F2, "1,0,1,0,1"), (F3, "1,2,1"),
+              (F2, "0,1,1,0,1"), (F3, "0,1,1"), (F4, "1,0,1"), (F5, "2,0,1"),
+              (F3, "1,1,0,1")]
+    want = {}
+    for fld, text in moduli:
+        d = _p(fld, text)
+        s = ap_series(d, 6, 3)
+        for gi in range(s.group.order):
+            for n in range(7):
+                for k in range(min(n, 3) + 1):
+                    want[(text, fld.q, gi, n, k)] = s.count(gi, n, k)
+    centers = [Poly.x(F2, 8), _p(F2, "1,1,0,1,0,0,0,0,1"), _p(F3, "2,0,1,1,0,1")]
+    intervals = {(g.text(), h, k): pi_k_interval_exact(IntervalQuery(g.degree, k, g, h))
+                 for g in centers for h in (2, 4) for k in (1, 2, 3)}
+
+    def refuse(self, *args, **kwargs):
+        raise RuntimeError("the character path read the class counts")
+
+    monkeypatch.setattr(UnitGroup, "irreducible_classes", refuse)
+    for fld, text in moduli:
+        d = _p(fld, text)
+        group = unit_group(d)
+        for gi in range(group.order):
+            for n in range(7):
+                for k in range(min(n, 3) + 1):
+                    qy = APQuery(n, k, group.elements[gi], d)
+                    assert pi_k_ap_chars(qy) == want[(text, fld.q, gi, n, k)]
+    for g in centers:
+        for h in (2, 4):
+            for k in (1, 2, 3):
+                got = pi_k_interval_chars(IntervalQuery(g.degree, k, g, h))
+                assert got == intervals[(g.text(), h, k)]
 
 
 def test_ap_query_validation():

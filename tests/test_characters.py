@@ -8,6 +8,8 @@ import pytest
 
 from ffcount.algebra import (
     Poly,
+    _is_prime_mr,
+    enumerate_irreducibles,
     enumerate_monics,
     factor_stats,
     field,
@@ -18,15 +20,18 @@ from ffcount.algebra import (
 from ffcount import characters as characters_module
 from ffcount.characters import (
     DEFAULT_GROUP_BUDGET,
+    CharacterSums,
     DirichletChar,
     UnitGroup,
     characters,
     cyclotomic_polynomial,
     l_polynomial,
+    root_of_unity,
     root_unity_sum_is_zero,
     twisted_series,
     unit_group,
     weil_check,
+    word_primes,
 )
 from ffcount.errors import BudgetExceededError, ConsistencyError
 
@@ -369,7 +374,7 @@ def test_weil_report_shape():
 
 def test_twisted_series_principal_matches_coprime_squarefree_counts():
     # every character, the principal one included, against the sum of
-    # chi(f) over the enumerated squarefree monics with k factors
+    # chi(f) over the enumerated squarefree monics with k factors, in F_P
     for d in (_p(F3, "1,0,1"), _p(F2, "0,0,0,1")):
         by_shape = {}
         for n in range(7):
@@ -377,12 +382,44 @@ def test_twisted_series_principal_matches_coprime_squarefree_counts():
                 st = factor_stats(f)
                 if st.squarefree:
                     by_shape.setdefault((n, st.omega), []).append(f)
-        for chi in characters(unit_group(d)):
-            rows = twisted_series(chi, 6)
+        group = unit_group(d)
+        P = next(word_primes(group.exponent))
+        sums = CharacterSums(group, 6, P)
+        for c, chi in enumerate(characters(group)):
+            rows = twisted_series(c, sums, 6)
             for n in range(7):
-                for k in range(len(rows[n])):
-                    direct = sum(chi(f) for f in by_shape.get((n, k), ()))
-                    assert abs(rows[n][k] - direct) < 1e-9, (d.text(), chi.exponents, n, k)
+                for k in range(7):
+                    exps = (chi.value_exponent(f) for f in by_shape.get((n, k), ()))
+                    direct = sum(sums.powers[e] for e in exps if e is not None) % P
+                    assert rows[n][k] == direct, (d.text(), chi.exponents, n, k)
+
+
+def test_character_prime_sums_match_enumerated_irreducibles():
+    # t P_chi(t) = t * sum of chi(p) over irreducibles of degree t not dividing d
+    for d in (_p(F2, "0,0,0,1"), _p(F3, "1,1,0,1"), _p(F4, "1,0,1"), _p(F2, "0,1,1,0,1")):
+        group = unit_group(d)
+        P = next(word_primes(group.exponent))
+        sums = CharacterSums(group, 6, P)
+        for c, chi in enumerate(characters(group)):
+            for t in range(1, 7):
+                exps = (chi.value_exponent(p) for p in enumerate_irreducibles(d.field, t))
+                direct = t * sum(sums.powers[e] for e in exps if e is not None) % P
+                assert sums.weights[t][c] == direct, (d.text(), chi.exponents, t)
+
+
+def test_word_primes_carry_a_root_of_unity_of_exact_order():
+    for E in [*range(1, 41), 242, 511, 4092]:
+        primes = word_primes(E)
+        for P in (next(primes), next(primes)):
+            assert P < 2**62 and (P - 1) % E == 0 and _is_prime_mr(P)
+            w = root_of_unity(E, P)
+            assert pow(w, E, P) == 1
+            if E <= 40:
+                assert len({pow(w, i, P) for i in range(E)}) == E
+            assert all(pow(w, E // ell, P) != 1 for ell in (2, 3, 5, 7, 11, 31, 73)
+                       if E % ell == 0)
+    with pytest.raises(ValueError):
+        root_of_unity(4, 7)
 
 
 def test_auto_method_avoids_a_sieve_past_the_enumeration_budget():

@@ -61,7 +61,7 @@ def test_budget_env_exits_3(monkeypatch, capsys):
 
 
 def test_dual_path_mismatch_exits_4(monkeypatch, capsys):
-    monkeypatch.setattr(cli, "pi_k_ap_chars", lambda qy: -1.0)
+    monkeypatch.setattr(cli, "pi_k_ap_chars", lambda qy: -1)
     code, _, err = run_cli(
         capsys, ["ap", "--q", "3", "--d", "0,1", "--g", "1", "--n", "4", "--k", "2"])
     assert code == 4
@@ -249,13 +249,14 @@ def test_ap_on_a_unit_group_of_order_2047(capsys):
 
 def test_interval_sweeps_each_character_once(monkeypatch, capsys):
     # over F_4 the interval has 2(q-1) = 6 progression terms mod X^2,
-    # which share one twisted series per character of the order-12 group
+    # which share one twisted series per character of the order-12 group;
+    # q^n = 4^4 needs a single prime
     calls = []
     real = apinterval.twisted_series
 
-    def counted(chi, *args, **kwargs):
-        calls.append(chi)
-        return real(chi, *args, **kwargs)
+    def counted(c, *args, **kwargs):
+        calls.append(c)
+        return real(c, *args, **kwargs)
 
     monkeypatch.setattr(apinterval, "twisted_series", counted)
     code, out, _ = run_cli(
@@ -272,14 +273,27 @@ def test_interval_sweeps_each_character_once(monkeypatch, capsys):
      "--k", "1"],
 ], ids=["ap", "interval"])
 def test_character_path_past_the_float_range_keeps_the_exit_codes(argv):
-    # q^n is past the double range, so the float character path cannot
-    # represent the counts; the run must still end with a contract exit code
+    # q^n is past the double range; the character path is exact mod
+    # word-size primes, so it must agree with the exact count and exit 0
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-m", "ffcount", *argv],
                           capture_output=True, text=True, env=env)
-    assert proc.returncode in (0, 2, 3, 4)
-    assert "Traceback" not in proc.stderr
+    assert proc.returncode == 0, proc.stderr
+    payload = json.loads(proc.stdout)
+    assert payload["char_path"] == payload["exact"]
+    assert payload["paths_agree"] is True
+
+
+@pytest.mark.parametrize("n", [45, 60, 120])
+def test_deep_ap_counts_pass_the_exact_character_check(capsys, n):
+    # counts past 2^40 once failed the float character path with exit 4
+    code, out, err = run_cli(
+        capsys, ["ap", "--q", "2", "--d", "1,1,1", "--g", "1", "--n", str(n), "--k", "3"])
+    assert code == 0, err
+    payload = json.loads(out)
+    assert payload["char_path"] == payload["exact"]
+    assert int(payload["exact"]) > 2**40
 
 
 def test_interval_matches_enumeration(capsys):
