@@ -10,8 +10,8 @@ Representation conventions used throughout this module:
   on the unit group mod d: one packed big integer per (unit, degree) with
   (K+1) slots of slot_bits(q, N) bits; every slot value is a genuine count
   bounded by q^N, so no slot ever carries into its neighbor.  The global
-  tables of exactcount come from their own recurrence and share only the
-  row packing with this kernel.
+  tables of exactcount and the twisted series of characters come from
+  the log-derivative kernel and share only the row packing with this one.
 * The kernel multiplies out the product over irreducibles p not dividing
   d of (1 + z T^deg(p) e_[p]) where e_[p] is the basis vector of the class
   of p.  Irreducibles with equal degree and equal residue class contribute

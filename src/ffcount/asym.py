@@ -402,6 +402,8 @@ def main_term_thm2(n: int, k: int, d: Poly, cfg: AnalyticConfig | None = None,
 
 def _thm3_check(q: int, n: int, k: int, h: int, cfg: AnalyticConfig, override: bool):
     _check_nk(n, k)
+    if n == 2 and k >= 3:  # the second part is evaluated at (k-2)/log(n-1)
+        raise ValueError("the interval main term is undefined at n = 2 for k >= 3")
     if h < 0 or h >= n:
         raise ValueError("h must satisfy 0 <= h <= n-1")
     if h == n - 1 or override:
@@ -537,6 +539,7 @@ def thm3_normalized_error(count: int, q, n: int, k: int, h: int,
     """Interval analogue: observed bracket versus the two-term H bracket."""
     cfg = cfg or DEFAULT_CONFIG
     q = _coerce_q(q)
+    _thm3_check(q, n, k, h, cfg, override=True)
     ln_unit = (h + 1) * math.log(q) - math.log(n) + _ln_k_prefactor(n, k)
     obs = _observed(count, ln_unit)
     bracket = bigH((k - 1) / math.log(n), q, cfg)

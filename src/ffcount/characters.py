@@ -1,10 +1,11 @@
 """Unit groups modulo a polynomial, their characters, and L-polynomials.
 
 The module also builds the exact character path that apinterval sums:
-the prime sums of every character and the character-twisted squarefree
-series, in F_P for word-size primes P.  It reads only the monic residues
-and the discrete-log table of the group, never the irreducible class
-counts behind apinterval's tables, so the two paths check each other.
+the prime sums of every character and, through the log-derivative kernel
+of exactcount, the character-twisted squarefree series, in F_P for
+word-size primes P.  It reads only the monic residues and the
+discrete-log table of the group, never the irreducible class counts
+behind apinterval's tables, so the two paths check each other.
 
 Representation conventions used throughout this module:
 
@@ -29,11 +30,11 @@ Representation conventions used throughout this module:
   exists.
 * A character is an exponent vector against the basis: its value on
   generator i is the order-n_i root of unity raised to exponents[i].
-  Values stay exact (integers modulo the group exponent E) until a caller
-  asks for a complex float, or for a residue mod a prime P = 1 (mod E),
-  where zeta_E maps to a fixed element of exact order E.  Exact zero tests for sums of roots of unity
-  reduce the integer count polynomial modulo the E-th cyclotomic
-  polynomial, so orthogonality checks carry no float tolerance at all.
+  Values stay exact: integers modulo the group exponent E, or residues
+  mod a prime P = 1 (mod E), where zeta_E maps to a fixed element of
+  exact order E.  Exact zero tests for sums of roots of unity reduce the
+  integer count polynomial modulo the E-th cyclotomic polynomial, so
+  orthogonality checks carry no float tolerance at all.
 * L-polynomial coefficients are indexed from degree 0 with c_0 = 1 (the
   single degree-0 monic, value 1 under every character); the coefficient
   list runs to degree m-1 and the effective degree is found by the exact
@@ -61,6 +62,7 @@ from .algebra import (
     _is_prime_mr,
 )
 from .errors import BudgetExceededError, ConsistencyError, RootFindingError
+from .exactcount import _log_derivative_rows
 
 __all__ = [
     "CharacterSums",
@@ -502,25 +504,6 @@ class DirichletChar:
             total += e * t * (E // n)
         return total % E
 
-    def __call__(self, f) -> complex:
-        e = self.value_exponent(f)
-        if e is None:
-            return 0j
-        return cmath.exp(2j * math.pi * e / self.group.exponent)
-
-    def conjugate(self) -> "DirichletChar":
-        orders = [n for _, n in self.group.structure]
-        return DirichletChar(self.group,
-                             tuple((-e) % n for e, n in zip(self.exponents, orders)))
-
-    def __mul__(self, other: "DirichletChar") -> "DirichletChar":
-        if other.group is not self.group:
-            raise ValueError("characters belong to different groups")
-        orders = [n for _, n in self.group.structure]
-        return DirichletChar(self.group,
-                             tuple((a + b) % n for a, b, n in
-                                   zip(self.exponents, other.exponents, orders)))
-
 
 def characters(group: UnitGroup) -> tuple[DirichletChar, ...]:
     """The full dual group; the all-zero (principal) character comes first."""
@@ -698,11 +681,10 @@ class CharacterSums:
     P is a prime with P = 1 (mod E), E the group exponent, and
     powers[e] = w^e for the root_of_unity w of order E mod P; sending
     zeta_E to w maps Z[zeta_E] onto F_P, so every entry is the image of an
-    exact algebraic integer.  A
-    character is addressed by its index c, its position in
-    characters(group).  weights[t][c] = t * P_chi(t) mod P, where P_chi(t)
-    sums chi over the monic irreducibles of degree t not dividing d.  The
-    table is built without the irreducibles or their class counts:
+    exact algebraic integer.  A character is addressed by its index c, its
+    position in characters(group).  weights[t][c] = t * P_chi(t) mod P,
+    where P_chi(t) sums chi over the monic irreducibles of degree t not
+    dividing d.  It is built without the irreducibles or class counts:
 
     1. chi(u) = w^(value exponent), from the dlog vector of u.
     2. L(T, chi) has coefficients c_j = sum of chi over monic_residues[j]
@@ -774,25 +756,26 @@ def twisted_series(c: int, sums: CharacterSums, K: int):
     """Rows [n][k], n <= sums.N and k <= K, of the twisted squarefree series mod P.
 
     The series of character c is the product over irreducibles p not
-    dividing d of (1 + z chi(p) T^deg p).  Its log-derivative gives
-
-        n F_n = sum_m (-1)^(m-1) z^m sum_t t P_(chi^m)(t) F_(n-mt),
-
-    so each row costs a few dot products against the weights of sums.
+    dividing d of (1 + z chi(p) T^deg p), and exactcount's kernel runs its
+    log-derivative recurrence n F_n = sum_m (-1)^(m-1) z^m sum_t t
+    P_(chi^m)(t) F_(n-mt) on rows packed mod P.  A slot of 2 bits(P) +
+    bits(N K) bits holds a row's sums of products of residues, so no slot
+    carries into the next before the finish reduces it.
     """
-    N, P = sums.N, sums.P
-    weights = sums.weights
-    a = [None]
+    N, P, inverses = sums.N, sums.P, sums.inverses
+    weights = [None]
     for m in range(1, K + 1):
         cm = sums.power_map(m)[c]
-        a.append([weights[t][cm] for t in range(1, N // m + 1)])
-    cols = [[1] + [0] * N] + [[0] * (N + 1) for _ in range(K)]
-    for n in range(1, N + 1):
-        inv = sums.inverses[n]
-        for k in range(1, min(n, K) + 1):
-            total = 0
-            for m in range(1, k + 1):
-                part = sum(map(mul, a[m][:n // m], cols[k - m][n - m::-m]))
-                total = total + part if m & 1 else total - part
-            cols[k][n] = total * inv % P
-    return tuple(tuple(col[n] for col in cols) for n in range(N + 1))
+        a = [0] + [w[cm] for w in sums.weights[1:N // m + 1]]
+        weights.append(a if m & 1 else [-x % P for x in a])
+    slot = 2 * P.bit_length() + (N * K).bit_length()
+    smask = (1 << slot) - 1
+    shifts = range(K * slot, 0, -slot)  # slot 0 is zero past row 0
+
+    def finish(n, total):
+        inv, row = inverses[n], 0
+        for s in shifts:
+            row = (row | ((total >> s) & smask) * inv % P) << slot
+        return row
+
+    return tuple(_log_derivative_rows(weights, N, K, slot, finish))

@@ -222,7 +222,7 @@ def cmd_count(args) -> Report:
     krange = _parse_range(args.k, "--k") if args.k else list(range(cap + 1))
     if min(krange) < 0:
         raise UsageError("--k: factor counts must be nonnegative")
-    K = min(max(krange), cap)
+    K = max(1, min(max(krange), cap))  # the builders need K >= 1
     build = euler_product_squarefree if args.mode == "squarefree" else euler_product_allfactors
     series = build(q, max(N, 1), K, budget=args.budget)
     rows = []
@@ -312,9 +312,10 @@ def _dual_path_report(label, qy, exact, chars, term, payload, header, row) -> Re
             main_ln = term().ln_abs
             in_range = True
         except ValueError as exc:
-            if "override" not in str(exc):
+            if "override" in str(exc):
+                main_ln = term(override=True).ln_abs
+            elif "undefined" not in str(exc):
                 raise
-            main_ln = term(override=True).ln_abs
     payload.update(exact=str(exact), char_path=str(char_path), paths_agree=True,
                    main_term_lnAbs=main_ln, in_proven_range=in_range)
     header += ("exact", "char_path", "main_term_lnAbs", "in_proven_range")

@@ -7,16 +7,17 @@ by degree class d into local factors (1 + z T^d)^Pi(d), where Pi(d) is the
 number of monic irreducibles of degree d.  Coefficients are arbitrary
 precision integers; exactness is the point of this module.
 
-Build strategy: the global series comes from its logarithmic derivative.
-Since log F = sum_t Pi(t) sum_m (-1)^(m-1) z^m T^(mt) / m, the rows F_n
-obey the integer recurrence
+Build strategy: since log F = sum_t Pi(t) sum_m (-1)^(m-1) z^m T^(mt) / m,
 
-    n F_n = sum_{m <= K} (-1)^(m-1) z^m sum_{t <= n/m} t Pi(t) F_{n-mt}.
+    n F_n = sum_{m <= K} (-1)^(m-1) z^m sum_{t <= n/m} a_m(t) F_{n-mt}
 
-Each T-row is packed into one big integer with a fixed bit stride per
-z-slot, so z^m is a shift by m slots and each inner sum is a pass of
-scalar-times-row products.  Since t Pi(t) = sum over d r = t of mu(r) q^d,
-the part of those sums with a short stride m r is a geometric sum of rows,
+with a_m(t) = t Pi(t); a_m(t) = t P_(chi^m)(t) gives the series twisted
+by a character chi.  One kernel, _log_derivative_rows, runs it for both
+euler_product_squarefree and characters.twisted_series (mod a prime P).
+Each T-row is one big integer with a fixed bit stride per z-slot, so z^m
+is a shift by m slots and each inner sum is a pass of scalar-times-row
+products.  Globally, since t Pi(t) = sum over d r = t of mu(r) q^d, the
+part of those sums with a short stride m r is a geometric sum of rows,
 kept up to date row by row, and the scalars left in the products are
 small.  Every slot of n F_n lies in [0, 2^slot), so masking the signed
 total to K+1 slots is exact and the masked row divides exactly by n.
@@ -184,6 +185,33 @@ def euler_product_packed(classes, N: int, K: int, slot: int, group) -> list[list
     return rows
 
 
+def _log_derivative_rows(weights, N: int, K: int, slot: int, finish,
+                         lanes=(), ratio: int = 0) -> list[tuple[int, ...]]:
+    """Rows [n][k] of n F_n = sum_m z^m (sum_t weights[m][t] F_(n-mt) + sum of
+    sign G_s(n) over (sign, s) in lanes[m]), G_s(n) = sum_d ratio^d F_(n-sd);
+    signs are folded in.  finish(n, total) turns n F_n, packed in K+1 slots
+    of slot bits, into the packed F_n."""
+    mask = (1 << (K + 1) * slot) - 1
+    low = mask >> slot  # slot K of a row only feeds slots past K, so rows drop it
+    smask, offsets = (1 << slot) - 1, range(0, (K + 1) * slot, slot)
+    geo = {s: [0] * s for lane in lanes[1:] for _, s in lane}  # geo[s][n % s] is G_s(n)
+    rows, out = [1], [(1,) + (0,) * K]
+    for n in range(1, N + 1):
+        for s, g in geo.items():
+            if s <= n:
+                g[n % s] = ratio * (rows[n - s] + g[n % s])
+        total = 0
+        for m in range(1, min(n, K) + 1):
+            part = sum(map(mul, weights[m][1:n // m + 1], rows[n - m::-m]))
+            for sign, s in lanes[m] if lanes else ():
+                part = part + geo[s][n % s] if sign > 0 else part - geo[s][n % s]
+            total += part << m * slot
+        row = finish(n, total & mask)
+        rows.append(row & low)
+        out.append(tuple([(row >> s) & smask for s in offsets]))
+    return out
+
+
 def euler_product_squarefree(
     q,
     N: int,
@@ -201,45 +229,30 @@ def euler_product_squarefree(
     if K is None:
         K = min(N, DEFAULT_K_CAP)
     slot = _check_series_budget(q, N, K, bits_cap, budget)
-    mask = (1 << (K + 1) * slot) - 1
     # t Pi(t) = sum over d r = t of mu(r) q^d.  In the z^m sum, the terms
     # with m r <= L add up to mu(r) G_mr(n), where G_s(n) = sum_d q^d F_{n-sd};
     # the others weigh single rows, weights[m][t]
     L = min(N, _LANES)
     mu = [0] + [_mobius_int(r) for r in range(1, N + 1)]
     qpow = [q**d for d in range(N + 1)]
-    weights = [None]
-    lane_terms = [None]
+    weights, lanes = [None], [None]
     for m in range(1, K + 1):
+        sign = 1 if m & 1 else -1
         w = [0] * (N // m + 1)
         for r in range(L // m + 1, N // m + 1):
             if mu[r]:
                 for d in range(1, N // (m * r) + 1):
-                    w[d * r] += mu[r] * qpow[d]
+                    w[d * r] += sign * mu[r] * qpow[d]
         weights.append(w)
-        lane_terms.append([(mu[r], m * r) for r in range(1, L // m + 1) if mu[r]])
-    # lanes[s][n % s] is G_s(n) = q (F_{n-s} + G_s(n-s)); 0 while n < s
-    lanes = [[0] * s for s in range(L + 1)]
-    rows = [1]
-    for n in range(1, N + 1):
-        for s in range(1, min(n, L) + 1):
-            lane = lanes[s]
-            lane[n % s] = q * (rows[n - s] + lane[n % s])
-        total = 0
-        for m in range(1, min(n, K) + 1):
-            # rows n-m, n-2m, ... by their weights, then the lanes, times z^m
-            part = sum(map(mul, weights[m][1:n // m + 1], rows[n - m::-m]))
-            for sign, s in lane_terms[m]:
-                part = part + lanes[s][n % s] if sign > 0 else part - lanes[s][n % s]
-            part <<= m * slot
-            total = total + part if m & 1 else total - part
-        row, rem = divmod(total & mask, n)
+        lanes.append([(sign * mu[r], m * r) for r in range(1, L // m + 1) if mu[r]])
+
+    def finish(n, total):
+        row, rem = divmod(total, n)
         if rem:
             raise ConsistencyError(f"squarefree recurrence is not integral at degree {n}")
-        rows.append(row)
-    slot_mask = (1 << slot) - 1
-    coeff = [[(row >> (k * slot)) & slot_mask for k in range(K + 1)] for row in rows]
-    return BiSeries(q, N, K, coeff)
+        return row
+
+    return BiSeries(q, N, K, _log_derivative_rows(weights, N, K, slot, finish, lanes, q))
 
 
 def euler_product_allfactors(

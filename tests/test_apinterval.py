@@ -31,6 +31,7 @@ from ffcount.asym import thm2_normalized_error, thm3_normalized_error
 from ffcount.characters import (
     CharacterSums,
     UnitGroup,
+    characters,
     twisted_series,
     unit_group,
     word_primes,
@@ -260,6 +261,26 @@ def test_principal_character_retains_coprime_totals():
     for n in range(7):
         for k in range(min(n, s.K) + 1):
             assert rows[n][k] == _total(s, n, k) % P
+
+
+def test_twisted_series_matches_the_class_tables_for_every_character():
+    # the one log-derivative kernel, run mod P on the character sums, against
+    # the class kernel's integer tables: F_chi[n][k] = sum_u chi(u) coeff[u][n][k].
+    # At N = 40, K = 8 and P near 2^62 a row's sums of products pass 2^124,
+    # so a slot without its bits(N K) headroom would carry into the next
+    N, K = 40, 8
+    for d in (_p(F2, "1,1,0,1"), _p(F2, "0,0,0,1"), _p(F3, "1,0,1")):
+        g = unit_group(d)
+        s = ap_series(d, N, K)
+        P = next(word_primes(g.exponent))
+        sums = CharacterSums(g, N, P)
+        for c, chi in enumerate(characters(g)):
+            vals = [sums.powers[chi.value_exponent(u)] for u in range(g.order)]
+            rows = twisted_series(c, sums, K)
+            for n in range(N + 1):
+                for k in range(K + 1):
+                    want = sum(v * s.coeff[u][n][k] for u, v in enumerate(vals)) % P
+                    assert rows[n][k] == want, (d.text(), chi.exponents, n, k)
 
 
 def test_character_path_combines_several_primes_by_crt(monkeypatch):

@@ -26,6 +26,7 @@ from ffcount.asym import (
     qlimit_count,
     qlimit_sum,
     ratio_to_main,
+    thm3_normalized_error,
     truncation_depth,
 )
 
@@ -215,6 +216,19 @@ def test_main_term_thm3_domain_errors():
         main_term_thm3(2, 10, 2, -1, override=True)
     with pytest.raises(ValueError):
         main_term_thm3(2, 100, 2, 80)  # below proven range, no override
+
+
+def test_thm3_at_degree_two_past_two_factors_is_a_value_error():
+    # the second part is evaluated at (k-2)/log(n-1), and log(1) = 0
+    for k in (3, 4):
+        for h in (0, 1):
+            with pytest.raises(ValueError, match="undefined"):
+                main_term_thm3_terms(2, 2, k, h, override=True)
+            with pytest.raises(ValueError, match="undefined"):
+                thm3_normalized_error(0, 3, 2, k, h)
+    first, second = main_term_thm3_terms(2, 2, 2, 1)
+    assert first.sign == second.sign == 1
+    assert thm3_normalized_error(1, 2, 2, 2, 1) >= 0
 
 
 def test_admissible_range_hand_values():

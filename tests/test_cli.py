@@ -34,6 +34,48 @@ def test_count_all_mode_row_sum(capsys):
     assert sum(int(r["count"]) for r in payload["rows"]) == 3 ** 4
 
 
+def test_count_at_degree_zero_and_factor_count_zero(capsys):
+    # the table builders need K >= 1 even when every queried column is k = 0
+    for mode in ("squarefree", "all"):
+        for argv, want in ((["--n", "0"], [(0, 0, "1")]),
+                           (["--n", "0", "--k", "0:2"], [(0, 0, "1"), (0, 1, "0"), (0, 2, "0")]),
+                           (["--n", "5", "--k", "0"], [(5, 0, "0")])):
+            code, out, err = run_cli(capsys, ["count", "--q", "2", "--mode", mode, *argv])
+            assert code == 0, err
+            rows = json.loads(out)["rows"]
+            assert [(r["n"], r["k"], r["count"]) for r in rows] == want
+
+
+def test_interval_at_degree_two_past_two_factors_has_no_main_term(capsys):
+    # the main term divides by log(n-1), which is 0 at n = 2
+    for q in ("2", "3"):
+        for k in ("3", "4"):
+            code, out, err = run_cli(
+                capsys, ["interval", "--q", q, "--g", "1,1,1", "--h", "1", "--k", k])
+            assert code == 0, err
+            payload = json.loads(out)
+            assert payload["exact"] == payload["char_path"] == "0"
+            assert payload["main_term_lnAbs"] is None
+            assert payload["in_proven_range"] is False
+
+
+def test_every_small_query_exits_0_with_agreeing_paths(capsys):
+    queries = [["count", "--q", "2", "--mode", mode, "--n", str(n), "--k", str(k)]
+               for mode in ("squarefree", "all") for n in range(4) for k in range(6)]
+    queries += [["ap", "--q", "2", "--d", "1,1", "--g", "1", "--n", str(n), "--k", str(k)]
+                for n in range(4) for k in range(6)]
+    queries += [["interval", "--q", q, "--g", ",".join(["1"] * (n + 1)),
+                 "--h", str(h), "--k", str(k)]
+                for q in ("2", "3") for n in range(1, 4) for h in range(n) for k in range(6)]
+    failed = []
+    for argv in queries:
+        code, out, _ = run_cli(capsys, argv)
+        payload = json.loads(out) if code == 0 else {}
+        if code != 0 or payload.get("exact") != payload.get("char_path"):
+            failed.append((argv, code))
+    assert failed == []
+
+
 def test_unknown_flag_exits_2(capsys):
     code, _, _ = run_cli(capsys, ["count", "--q", "2", "--n", "3", "--bogus"])
     assert code == 2
