@@ -2,23 +2,24 @@
 
 Representation conventions used throughout this module:
 
-* A GroupSeries stores, for every unit residue u modulo d, the table
-  coeff[u][n][k] = number of squarefree monic polynomials of degree n with
-  exactly k distinct irreducible factors, all coprime to d, lying in the
-  class u.  Row 0 is the empty product: coeff[identity][0][0] = 1.
-* Tables are built by exactcount.euler_product_packed, the class kernel,
-  on the unit group mod d: one packed big integer per (unit, degree) with
-  (K+1) slots of slot_bits(q, N) bits; every slot value is a genuine count
-  bounded by q^N, so no slot ever carries into its neighbor.  The global
-  tables of exactcount and the twisted series of characters come from
-  the log-derivative kernel and share only the row packing with this one.
+* A GroupSeries answers count(u, n, k) = number of squarefree monic
+  polynomials of degree n with exactly k distinct irreducible factors,
+  all coprime to d, lying in the unit class u.  Row 0 is the empty
+  product: count(identity, 0, 0) = 1.
+* Tables are built by _class_product, the class kernel, on the unit
+  group mod d as one big integer: the count of T^n z^k in class v sits in
+  a slot of slot_bits(q, N) bits at bit n B + code(v) W + k slot, with
+  W = (K+1) slot, B = |G| W and code(v) the mixed-radix position of v's
+  dlog vector; a GroupSeries keeps its degree rows.  Every slot value is a
+  genuine count bounded by q^N, so no slot ever carries into its neighbor.
 * The kernel multiplies out the product over irreducibles p not dividing
-  d of (1 + z T^deg(p) e_[p]) where e_[p] is the basis vector of the class
-  of p.  Irreducibles with equal degree and equal residue class contribute
-  identically, so the product is taken class by class with exact binomial
-  weights.  Class sizes come from a Newton recurrence on the class-refined
-  zeta coefficients followed by exact prime-power inversion; bucketing
-  enumerated irreducibles ("direct") stays as its oracle.
+  d of (1 + z T^deg(p) e_[p]), e_[p] the basis vector of the class of p,
+  class by class with exact binomial weights, since irreducibles of equal
+  degree and class contribute identically.  Multiplying by e_c rotates
+  every block of a row along each axis of the group (two shifts and a
+  mask per axis).  Class sizes come from a Newton recurrence on the
+  class-refined zeta coefficients followed by exact prime-power
+  inversion; bucketing enumerated irreducibles ("direct") is its oracle.
 * Interval counts reduce to progression counts through coefficient
   reversal: monic f of degree n with f(0) = a corresponds to the monic
   polynomial a^{-1} f* where f*(X) = X^n f(1/X), and the condition
@@ -47,7 +48,7 @@ from .algebra import (
 )
 from .characters import CharacterSums, twisted_series, unit_group, word_primes
 from .errors import BudgetExceededError, ConsistencyError
-from .exactcount import byte_budget, euler_product_packed, max_omega, slot_bits
+from .exactcount import byte_budget, max_omega, slot_bits
 
 __all__ = [
     "APQuery",
@@ -102,15 +103,17 @@ class IntervalQuery:
 
 
 class GroupSeries:
-    """Per-unit-class squarefree factor-count tables modulo a polynomial."""
+    """Per-unit-class squarefree factor-count tables modulo a polynomial,
+    as the class kernel's packed degree rows."""
 
-    __slots__ = ("group", "N", "K", "coeff")
+    __slots__ = ("group", "N", "K", "slot", "rows")
 
-    def __init__(self, group, N: int, K: int, coeff):
+    def __init__(self, group, N: int, K: int, slot: int, rows):
         self.group = group
         self.N = N
         self.K = K
-        self.coeff = coeff
+        self.slot = slot
+        self.rows = rows
 
     def count(self, g, n: int, k: int) -> int:
         if not 0 <= n <= self.N:
@@ -123,7 +126,8 @@ class GroupSeries:
                 return 0
             raise ValueError(f"k = {k} exceeds the truncation K = {self.K}")
         idx = g if isinstance(g, int) else self.group.index_of(g)
-        return self.coeff[idx][n][k]
+        code = self.group.code[idx]
+        return (self.rows[n] >> (code * (self.K + 1) + k) * self.slot) & ((1 << self.slot) - 1)
 
 
 def ap_series(d: Poly, N: int, K: int | None = None, method: str = "auto",
@@ -144,21 +148,89 @@ def ap_series(d: Poly, N: int, K: int | None = None, method: str = "auto",
         raise ValueError("K must be nonnegative")
     K = min(K, N)
     slot = slot_bits(q, N)
-    estimated = group.order * (N + 1) * ((K + 1) * slot // 8 + 64)
+    # the kernel's peak: a rotation mask per axis of the group and a dozen
+    # tables (the trunc mask, the table itself and transient copies of it)
+    estimated = (len(group.structure) + 12) * (N + 1) * group.order * (K + 1) * slot // 8
     limit = byte_budget() if budget is None else budget
     if estimated > limit:
         raise BudgetExceededError(
             f"group series of estimated size {estimated} bytes exceeds the budget {limit}")
     counts = group.irreducible_classes(N, method=method)
-    rows = euler_product_packed(counts, N, K, slot, group)
-    smask = (1 << slot) - 1
-    coeff = {
-        u: tuple(
-            tuple((rows[u][n] >> (k * slot)) & smask for k in range(K + 1))
-            for n in range(N + 1))
-        for u in range(group.order)
-    }
-    return GroupSeries(group, N, K, coeff)
+    packed = _class_product(group, counts, N, K, slot)
+    B = group.order * (K + 1) * slot
+    row = (1 << B) - 1
+    return GroupSeries(group, N, K, slot, [(packed >> n * B) & row for n in range(N + 1)])
+
+
+def _tile(pattern: int, period: int, count: int) -> int:
+    """count >= 1 copies of pattern, period bits apart, by doubling."""
+    if count == 1:
+        return pattern
+    half = _tile(pattern, period, count // 2)
+    out = half | half << count // 2 * period
+    return out | pattern << (count - 1) * period if count & 1 else out
+
+
+def _rotation(vec, axes, height: int):
+    """Multiplication by the class with dlog vector vec, as (mask, up, down)
+    per axis it moves: within each period of an axis, the blocks whose digit
+    stays below n once vec's digit is added go up, the others wrap down."""
+    return [(_tile((1 << (n - a) * s) - 1, n * s, height // (n * s)), a * s, (n - a) * s)
+            for a, (n, s) in zip(vec, axes) if a]
+
+
+def _rotate(x: int, rotation) -> int:
+    for mask, up, down in rotation:
+        lo = x & mask
+        x = lo << up | (x ^ lo) >> down
+    return x
+
+
+def _class_product(group, classes, N: int, K: int, slot: int) -> int:
+    """The product over (deg, c) of (1 + z T^deg e_c)^classes[deg][c], where
+    classes[deg] maps a class index to its number of irreducibles of degree
+    deg, cut at T^N and z^K and packed into one integer (see the module notes).
+    """
+    W = (K + 1) * slot
+    axes, B = [], W  # (order, bit stride) per axis; the last axis is innermost
+    for _, n in reversed(group.structure):
+        axes.insert(0, (n, B))
+        B *= n
+    # slots 0..K-1 of every block: slot K only feeds slots past K
+    low = _tile((1 << K * slot) - 1, W, group.order * (N + 1))
+    by_class: dict[int, list[tuple[int, int]]] = {}
+    for dp in range(1, N + 1):
+        for c, cnt in classes.get(dp, {}).items():
+            by_class.setdefault(c, []).append((dp, cnt))
+    half = N // 2
+    Q = 1  # T^0 z^0 in the identity class, whose code is 0
+    for c, factors in sorted(by_class.items()):
+        rotation = None  # drop one class's masks before building the next
+        for dp, cnt in factors:
+            if dp > half:
+                break
+            if rotation is None:
+                rotation = _rotation(group.dlog(c), axes, N * B)
+            # term j is C(cnt, j) z^j T^(dp j) e_c^j times the table before
+            # this factor, cut to degree N - dp j
+            src, b = Q, 1
+            for j in range(1, min(K, N // dp, cnt) + 1):
+                src = _rotate(src & (low >> dp * j * B), rotation) << slot
+                b = b * (cnt - j + 1) // j
+                Q += b * src << dp * j * B
+    # factors with 2 deg > N: their products with each other vanish, so
+    # each contributes cnt z T^deg e_c times the table of the lower half;
+    # sum them per class, at degrees shifted down by half + 1, and rotate once
+    upper = 0
+    for c, factors in sorted(by_class.items()):
+        cnts, acc = dict(factors), 0
+        for dp in range(N, half, -1):  # Horner in T from the highest degree down
+            acc <<= B
+            if dp in cnts:
+                acc += cnts[dp] * (Q & (low >> dp * B))
+        if acc:
+            upper += _rotate(acc, _rotation(group.dlog(c), axes, (N - half) * B)) << slot
+    return Q + (upper << (half + 1) * B)
 
 
 def pi_k_ap_exact(qy: APQuery, series: GroupSeries | None = None,
@@ -169,15 +241,19 @@ def pi_k_ap_exact(qy: APQuery, series: GroupSeries | None = None,
         return 0
     if n == 0:
         return int(k == 0 and (qy.g % qy.d) == Poly.one(qy.d.field))
+    return _series_for(qy.d, n, k, series, budget).count(qy.g, n, k)
+
+
+def _series_for(d: Poly, n: int, k: int, series: GroupSeries | None,
+                budget: int | None) -> GroupSeries:
+    """series, checked to be mod d and deep enough for degree n, or a new one."""
     if series is None:
-        K = max(1, min(k, max_omega(qy.d.field.q, n)))
-        series = ap_series(qy.d, n, K, budget=budget)
-    else:
-        if series.group.d != qy.d:
-            raise ValueError("series was built for a different modulus")
-        if series.N < n:
-            raise ValueError("series truncation is below the queried degree")
-    return series.count(qy.g, n, k)
+        return ap_series(d, n, max(1, min(k, max_omega(d.field.q, n))), budget=budget)
+    if series.group.d != d:
+        raise ValueError("series was built for a different modulus")
+    if series.N < n:
+        raise ValueError("series truncation is below the queried degree")
+    return series
 
 
 def pi_k_ap_chars(qy: APQuery) -> int:
@@ -258,14 +334,7 @@ def pi_k_interval_exact(qy: IntervalQuery, budget: int | None = None,
     if k == 0 or k > n:
         return 0
     d, terms = interval_progressions(qy)
-    if series is None:
-        K = max(1, min(k, max_omega(d.field.q, n)))
-        series = ap_series(d, n, K, budget=budget)
-    else:
-        if series.group.d != d:
-            raise ValueError("series was built for a different modulus")
-        if series.N < n:
-            raise ValueError("series truncation is below the queried degree")
+    series = _series_for(d, n, k, series, budget)
     return sum(series.count(r, tn, tk) for r, tn, tk in terms)
 
 

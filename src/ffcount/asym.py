@@ -35,6 +35,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .algebra import Poly, factor_stats, irreducible_count, phi_poly
+from .errors import OutsideProvenRangeError, UndefinedMainTermError
 from .exactcount import _coerce_q, rising_factorial_over_factorial
 
 __all__ = [
@@ -359,7 +360,7 @@ def main_term_thm1(q, n: int, k: int, cfg: AnalyticConfig | None = None,
     q = _coerce_q(q)
     _check_nk(n, k)
     if k > cfg.A * math.log(n) and not override:
-        raise ValueError("k exceeds A*log n; pass override=True to evaluate anyway")
+        raise OutsideProvenRangeError("k exceeds A*log n; pass override=True to evaluate anyway")
     r = (k - 1) / math.log(n)
     g = bigG(r, q, cfg)
     ln_val = n * math.log(q) - math.log(n) + _ln_k_prefactor(n, k)
@@ -383,7 +384,7 @@ def main_term_thm2(n: int, k: int, d: Poly, cfg: AnalyticConfig | None = None,
     if not override:
         bound = admissible_range(q, n, cfg.A, "thm2_m")
         if bound is None or m > bound:
-            raise ValueError(
+            raise OutsideProvenRangeError(
                 "modulus degree outside the proven range; pass override=True")
     r = (k - 1) / math.log(n)
     gd = bigGd(r, d, cfg)
@@ -403,14 +404,14 @@ def main_term_thm2(n: int, k: int, d: Poly, cfg: AnalyticConfig | None = None,
 def _thm3_check(q: int, n: int, k: int, h: int, cfg: AnalyticConfig, override: bool):
     _check_nk(n, k)
     if n == 2 and k >= 3:  # the second part is evaluated at (k-2)/log(n-1)
-        raise ValueError("the interval main term is undefined at n = 2 for k >= 3")
+        raise UndefinedMainTermError("the interval main term is undefined at n = 2 for k >= 3")
     if h < 0 or h >= n:
         raise ValueError("h must satisfy 0 <= h <= n-1")
     if h == n - 1 or override:
         return
     bound = admissible_range(q, n, cfg.A, "thm3_h")
     if bound is None or h < bound:
-        raise ValueError("h below the proven range; pass override=True")
+        raise OutsideProvenRangeError("h below the proven range; pass override=True")
 
 
 def main_term_thm3_terms(q, n: int, k: int, h: int,

@@ -22,7 +22,7 @@ Representation conventions used throughout this module:
   generator and regenerating all elements from the basis, which doubles
   as the discrete-log table.
 * Group arithmetic runs on indices.  Once the basis is validated, mul,
-  pow, inv and element_order add, scale or inspect discrete-log vectors
+  pow and element_order add, scale or inspect discrete-log vectors
   modulo the basis orders and look the result up by its mixed-radix code
   (the position of the vector in lexicographic order); translation gives
   v -> v * u for all v at once as one shift of every vector.  Polynomial
@@ -221,9 +221,6 @@ class UnitGroup:
             code = code * n + a * t % n
         return self._by_code[code]
 
-    def inv(self, i: int) -> int:
-        return self.pow(i, -1)
-
     def element_order(self, i: int) -> int:
         e = 1
         for a, n in zip(self._dlog[i], self._orders):
@@ -237,7 +234,7 @@ class UnitGroup:
             digits = [(s + a) % n for s in range(n)]
             shifted = [c * n + s for c in shifted for s in digits]
         by_code = self._by_code
-        return [by_code[shifted[c]] for c in self._code]
+        return [by_code[shifted[c]] for c in self.code]
 
     def dlog(self, i: int) -> tuple[int, ...]:
         """Exponent vector of element i against the basis."""
@@ -284,7 +281,7 @@ class UnitGroup:
             raise ConsistencyError("unit group basis does not span the group")
         self._orders = tuple(n for _, n in basis)
         self._by_code = [idx for idx, _ in combos]
-        self._code = code
+        self.code = code  # code[i]: the mixed-radix position of element i
         self._dlog = dlog
 
     @staticmethod

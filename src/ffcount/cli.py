@@ -69,7 +69,13 @@ from .asym import (
     thm1_normalized_error,
 )
 from .characters import L_COEFF_NOTE, characters, unit_group, weil_check
-from .errors import BudgetExceededError, ConsistencyError, RootFindingError
+from .errors import (
+    BudgetExceededError,
+    ConsistencyError,
+    OutsideProvenRangeError,
+    RootFindingError,
+    UndefinedMainTermError,
+)
 from .exactcount import (
     brute_force_count,
     cauchy_extract,
@@ -311,11 +317,10 @@ def _dual_path_report(label, qy, exact, chars, term, payload, header, row) -> Re
         try:
             main_ln = term().ln_abs
             in_range = True
-        except ValueError as exc:
-            if "override" in str(exc):
-                main_ln = term(override=True).ln_abs
-            elif "undefined" not in str(exc):
-                raise
+        except OutsideProvenRangeError:
+            main_ln = term(override=True).ln_abs
+        except UndefinedMainTermError:
+            pass
     payload.update(exact=str(exact), char_path=str(char_path), paths_agree=True,
                    main_term_lnAbs=main_ln, in_proven_range=in_range)
     header += ("exact", "char_path", "main_term_lnAbs", "in_proven_range")

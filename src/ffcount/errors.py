@@ -19,3 +19,11 @@ class RootFindingError(FFCountError):
     def __init__(self, message: str, residual: float):
         super().__init__(f"{message} (residual {residual:.3e})")
         self.residual = residual
+
+
+class OutsideProvenRangeError(ValueError):
+    """A main term was asked for outside its proven range without override."""
+
+
+class UndefinedMainTermError(ValueError):
+    """A main term has no value at these arguments, override or not."""

@@ -21,8 +21,9 @@ part of those sums with a short stride m r is a geometric sum of rows,
 kept up to date row by row, and the scalars left in the products are
 small.  Every slot of n F_n lies in [0, 2^slot), so masking the signed
 total to K+1 slots is exact and the masked row divides exactly by n.
-The class kernel euler_product_packed, which builds the progression
-tables of apinterval, packs its rows the same way.
+The class kernel of apinterval, which builds the progression tables,
+packs its slots the same way but keeps the whole table, every degree and
+every residue class, in one integer.
 
 The all-factors series (every monic polynomial, counted by distinct
 irreducible factors with multiplicity ignored) is obtained from the
@@ -141,48 +142,6 @@ def _check_series_budget(q: int, N: int, K: int, bits_cap: int, budget: int | No
             f"series of estimated size {estimated} bytes exceeds the budget {limit}"
         )
     return slot
-
-
-def euler_product_packed(classes, N: int, K: int, slot: int, group) -> list[list[int]]:
-    """Packed rows of the squarefree Euler product refined by class.
-
-    classes[deg] maps a class index to the number of irreducibles of
-    degree deg in that class.  rows[v][n] packs, K+1 slots of slot bits,
-    the z-row of T^n in class v of the product over (deg, c) of
-    (1 + z T^deg e_c)^classes[deg][c].  group supplies order,
-    identity_index, inv and translation.
-    """
-    order = group.order
-    width = (K + 1) * slot
-    mask = (1 << width) - 1
-    rows = [[0] * (N + 1) for _ in range(order)]
-    rows[group.identity_index][0] = 1
-    for dp in range(1, N + 1):
-        for c, cnt in sorted(classes.get(dp, {}).items()):
-            jmax = min(N // dp, K)
-            binom = [1]
-            for j in range(1, jmax + 1):
-                binom.append(binom[-1] * (cnt - j + 1) // j)
-            # class v * c^(-j) feeds slot j of class v, from degree n - dp*j
-            step = group.translation(group.inv(c))
-            src = list(range(order))
-            feeds = [[] for _ in range(order)]
-            for j in range(1, jmax + 1):
-                src = [step[u] for u in src]
-                for v in range(order):
-                    feeds[v].append((rows[src[v]], dp * j, j * slot, binom[j]))
-            for n in range(N, dp - 1, -1):
-                for row, feed in zip(rows, feeds):
-                    acc = row[n]
-                    for srow, back, shift, b in feed:
-                        if back > n:
-                            break
-                        x = srow[n - back]
-                        if x:
-                            acc += b * (x << shift)
-                    if acc is not row[n]:  # untouched rows are already masked
-                        row[n] = acc & mask
-    return rows
 
 
 def _log_derivative_rows(weights, N: int, K: int, slot: int, finish,

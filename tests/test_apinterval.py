@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -37,7 +38,7 @@ from ffcount.characters import (
     word_primes,
 )
 from ffcount.errors import BudgetExceededError
-from ffcount.exactcount import euler_product_squarefree
+from ffcount.exactcount import euler_product_squarefree, slot_bits
 
 F2 = field(2)
 F3 = field(3)
@@ -119,7 +120,7 @@ def test_direct_and_class_methods_agree():
         a = ap_series(d, N, method="direct")
         b = ap_series(d, N, method="class")
         c = ap_series(d, N)
-        assert a.coeff == b.coeff == c.coeff, (fld.q, d_text)
+        assert a.rows == b.rows == c.rows, (fld.q, d_text)
 
 
 def test_series_single_factor_row_totals():
@@ -265,7 +266,7 @@ def test_principal_character_retains_coprime_totals():
 
 def test_twisted_series_matches_the_class_tables_for_every_character():
     # the one log-derivative kernel, run mod P on the character sums, against
-    # the class kernel's integer tables: F_chi[n][k] = sum_u chi(u) coeff[u][n][k].
+    # the class kernel's integer tables: F_chi[n][k] = sum_u chi(u) count(u, n, k).
     # At N = 40, K = 8 and P near 2^62 a row's sums of products pass 2^124,
     # so a slot without its bits(N K) headroom would carry into the next
     N, K = 40, 8
@@ -279,7 +280,7 @@ def test_twisted_series_matches_the_class_tables_for_every_character():
             rows = twisted_series(c, sums, K)
             for n in range(N + 1):
                 for k in range(K + 1):
-                    want = sum(v * s.coeff[u][n][k] for u, v in enumerate(vals)) % P
+                    want = sum(v * s.count(u, n, k) for u, v in enumerate(vals)) % P
                     assert rows[n][k] == want, (d.text(), chi.exponents, n, k)
 
 
@@ -478,3 +479,100 @@ def test_interval_rate_sweep_q2():
             cnt = pi_k_interval_exact(IntervalQuery(n, k, Poly.x(F2, n), n - 2))
             vals.append(thm3_normalized_error(cnt, 2, n, k, n - 2))
         assert all(v <= cap for v in vals), (k, vals)
+
+
+# -- the class kernel against the loop it replaced ----------------------------------
+
+
+def _reference_class_rows(classes, N, K, slot, group):
+    """The per-class loop the packed kernel replaced: rows[v][n] packs the
+    K+1 slots of T^n in class v, one small update per (degree, class, n, v)."""
+    order = group.order
+    mask = (1 << (K + 1) * slot) - 1
+    rows = [[0] * (N + 1) for _ in range(order)]
+    rows[group.identity_index][0] = 1
+    for dp in range(1, N + 1):
+        for c, cnt in sorted(classes.get(dp, {}).items()):
+            jmax = min(N // dp, K)
+            binom = [1]
+            for j in range(1, jmax + 1):
+                binom.append(binom[-1] * (cnt - j + 1) // j)
+            # class v * c^(-j) feeds slot j of class v, from degree n - dp*j
+            step = group.translation(group.pow(c, -1))
+            src = list(range(order))
+            feeds = [[] for _ in range(order)]
+            for j in range(1, jmax + 1):
+                src = [step[u] for u in src]
+                for v in range(order):
+                    feeds[v].append((rows[src[v]], dp * j, j * slot, binom[j]))
+            for n in range(N, dp - 1, -1):
+                for row, feed in zip(rows, feeds):
+                    acc = row[n]
+                    for srow, back, shift, b in feed:
+                        if back > n:
+                            break
+                        acc += b * (srow[n - back] << shift)
+                    row[n] = acc & mask
+    return rows
+
+
+_KERNEL_SHAPES = (
+    # cyclic: order 20 (X^2 over F_5), 63 and 80 (irreducible moduli)
+    (F5, "0,0,1", 12, 8),
+    (F2, "1,1,0,0,0,0,1", 12, 3),
+    (F3, "2,1,0,0,1", 9, 2),
+    # several axes: X^5 and X^6 over F_2, X^4 over F_3, X^2 over F_4, X^10 over F_2
+    (F2, "0,0,0,0,0,1", 16, 4),
+    (F2, "0,0,0,0,0,0,1", 14, 1),
+    (F3, "0,0,0,0,1", 10, 3),
+    (F4, "0,0,1", 12, 5),
+    (F2, "0,0,0,0,0,0,0,0,0,0,1", 12, 3),
+    # repeated factors: X (X+1)^2 over F_2, (X+1)^2 (X+2) over F_3; X^2 over F_9
+    (F2, "0,1,0,1", 18, 8),
+    (F3, "2,2,1,1", 12, 6),
+    (F9, "0,0,1", 7, 7),
+    # the one-element group
+    (F2, "0,1", 24, 6),
+)
+
+
+def test_class_kernel_matches_the_per_class_loop():
+    short_counts = 0  # classes with fewer irreducibles than factors of z taken
+    for fld, d_text, N, K in _KERNEL_SHAPES:
+        d = _p(fld, d_text)
+        s = ap_series(d, N, K)
+        classes = s.group.irreducible_classes(N)
+        ref = _reference_class_rows(classes, N, K, s.slot, s.group)
+        smask = (1 << s.slot) - 1
+        for v in range(s.group.order):
+            for n in range(N + 1):
+                for k in range(K + 1):
+                    want = (ref[v][n] >> k * s.slot) & smask
+                    assert s.count(v, n, k) == want, (fld.q, d_text, v, n, k)
+        short_counts += sum(cnt < min(K, N // dp)
+                            for dp, by in classes.items() for cnt in by.values())
+    assert short_counts
+
+
+def test_class_kernel_memory_stays_within_its_estimate():
+    # the order-2047 modulus of the CLI test and X^10, the order-512 interval
+    # modulus.  ap_series refuses a budget below its estimate, so the kernel's
+    # peak must pass with the budget at the peak and fail one byte below it,
+    # and 32 tables' worth must be enough
+    for d_text, N, K in (("1,0,0,0,0,0,0,0,0,1,0,1", 11, 2),
+                         ("0,0,0,0,0,0,0,0,0,0,1", 12, 3)):
+        d = _p(F2, d_text)
+        group = unit_group(d)
+        counts = group.irreducible_classes(N)
+        slot = slot_bits(2, N)
+        table = (N + 1) * group.order * (K + 1) * slot // 8
+        tracemalloc.start()
+        try:
+            apinterval._class_product(group, counts, N, K, slot)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * table, (group.order, peak, table)
+        ap_series(d, N, K, budget=32 * table)
+        with pytest.raises(BudgetExceededError):
+            ap_series(d, N, K, budget=peak - 1)

@@ -10,6 +10,8 @@ import pytest
 from ffcount import algebra, apinterval, characters, cli
 from ffcount.algebra import FieldSpec, Poly, parse_poly
 from ffcount.apinterval import APQuery, IntervalQuery, ap_enumerate, interval_enumerate
+from ffcount.asym import Magnitude
+from ffcount.errors import OutsideProvenRangeError, UndefinedMainTermError
 from ffcount.exactcount import brute_force_count, omega_mean_exact
 
 
@@ -108,6 +110,31 @@ def test_dual_path_mismatch_exits_4(monkeypatch, capsys):
         capsys, ["ap", "--q", "3", "--d", "0,1", "--g", "1", "--n", "4", "--k", "2"])
     assert code == 4
     assert "disagree" in err
+
+
+def test_main_term_errors_are_told_apart_by_type(monkeypatch, capsys):
+    # the override type takes the override path whatever its message says,
+    # the undefined type reports no main term, and any other ValueError
+    # exits 2 even when its message asks for override
+    argv = ["ap", "--q", "2", "--d", "1,1,1", "--g", "1", "--n", "6", "--k", "2"]
+
+    def raising(exc):
+        def term(n, k, d, cfg, override=False):
+            if override and isinstance(exc, OutsideProvenRangeError):
+                return Magnitude.from_ln(1.5)
+            raise exc
+        return term
+
+    for exc, code, main_ln in ((OutsideProvenRangeError("no words to match"), 0, 1.5),
+                               (UndefinedMainTermError("no words to match"), 0, None),
+                               (ValueError("outside the proven range; pass override"), 2, None)):
+        monkeypatch.setattr(cli, "main_term_thm2", raising(exc))
+        got, out, _ = run_cli(capsys, argv)
+        assert got == code, exc
+        if code == 0:
+            payload = json.loads(out)
+            assert payload["main_term_lnAbs"] == main_ln
+            assert payload["in_proven_range"] is False
 
 
 def test_field_flag_conflict(capsys):
