@@ -421,10 +421,6 @@ class Poly:
     def x(cls, field: FieldSpec, power: int = 1) -> "Poly":
         return cls._raw(field, (0,) * power + (1,))
 
-    @classmethod
-    def constant(cls, field: FieldSpec, c: int) -> "Poly":
-        return cls(field, [c])
-
     @property
     def degree(self):
         """Degree as an int, or NEG_INF for the zero polynomial."""
@@ -437,9 +433,6 @@ class Poly:
     @property
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
-
-    def constant_term(self) -> int:
-        return self.coeffs[0] if self.coeffs else 0
 
     def _check_same_field(self, other: "Poly") -> None:
         if self.field.key != other.field.key:
@@ -501,10 +494,6 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly('{self.text()}', q={self.field.q})"
-
-    @classmethod
-    def parse(cls, field: FieldSpec, text: str) -> "Poly":
-        return parse_poly(field, text)
 
 
 def parse_poly(field: FieldSpec, text: str) -> Poly:

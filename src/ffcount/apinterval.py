@@ -28,6 +28,11 @@ Representation conventions used throughout this module:
   degree and factor count by one.  interval_progressions is the one place
   that builds these terms; the exact and the character paths both sum
   over them.
+* Both paths keep only the live terms (g, n, k): a count is zero by
+  degree alone unless n = k = 0 or 1 <= k <= max_omega(q, n).  Such zero
+  counts are reported without building a table, so they never exceed a
+  budget, and the table or the twisted series is built just deep enough
+  for the live terms: N the largest live n, K the largest live k.
 * The character path is exact and independent of the tables: for each
   word-size prime P = 1 (mod E) it sums conj(chi(g)) F_chi[n][k] over
   the characters in F_P, where F_chi is the twisted series that
@@ -45,6 +50,7 @@ from .algebra import (
     factor_stats,
     involute,
     poly_gcd,
+    _monic_coeffs_from_index,
 )
 from .characters import CharacterSums, twisted_series, unit_group, word_primes
 from .errors import BudgetExceededError, ConsistencyError
@@ -233,27 +239,38 @@ def _class_product(group, classes, N: int, K: int, slot: int) -> int:
     return Q + (upper << (half + 1) * B)
 
 
-def pi_k_ap_exact(qy: APQuery, series: GroupSeries | None = None,
-                  budget: int | None = None) -> int:
-    """Exact count of squarefree f in the progression g mod d, deg n, k factors."""
-    n, k = qy.n, qy.k
-    if k > n:
-        return 0
-    if n == 0:
-        return int(k == 0 and (qy.g % qy.d) == Poly.one(qy.d.field))
-    return _series_for(qy.d, n, k, series, budget).count(qy.g, n, k)
+def _live_terms(q: int, terms):
+    """The live terms (g, n, k), those whose count is not zero by degree
+    alone (see the module notes), and the depth (N, K) of a table that
+    holds them: their largest n and k, both 0 when no term is live."""
+    live = [(g, n, k) for g, n, k in terms if n == k == 0 or 1 <= k <= max_omega(q, n)]
+    N = max((n for _, n, _ in live), default=0)
+    K = max((k for _, _, k in live), default=0)
+    return live, N, K
 
 
-def _series_for(d: Poly, n: int, k: int, series: GroupSeries | None,
-                budget: int | None) -> GroupSeries:
-    """series, checked to be mod d and deep enough for degree n, or a new one."""
+def _table_sum(d: Poly, terms, series: GroupSeries | None, budget: int | None,
+               method: str = "auto") -> int:
+    """Sum of the progression counts of the terms (g, n, k) mod d, read
+    from series (checked to be mod d and deep enough) or from a new table
+    just deep enough for the live terms; degree-0 terms need no table."""
+    live, N, K = _live_terms(d.field.q, terms)
+    if N == 0:  # only the empty product is left, and it lies in the class 1
+        one = Poly.one(d.field)
+        return sum(g % d == one for g, _, _ in live)
     if series is None:
-        return ap_series(d, n, max(1, min(k, max_omega(d.field.q, n))), budget=budget)
-    if series.group.d != d:
+        series = ap_series(d, N, K, method=method, budget=budget)
+    elif series.group.d != d:
         raise ValueError("series was built for a different modulus")
-    if series.N < n:
+    elif series.N < N:
         raise ValueError("series truncation is below the queried degree")
-    return series
+    return sum(series.count(g, n, k) for g, n, k in live)
+
+
+def pi_k_ap_exact(qy: APQuery, series: GroupSeries | None = None,
+                  budget: int | None = None, method: str = "auto") -> int:
+    """Exact count of squarefree f in the progression g mod d, deg n, k factors."""
+    return _table_sum(qy.d, ((qy.g, qy.n, qy.k),), series, budget, method)
 
 
 def pi_k_ap_chars(qy: APQuery) -> int:
@@ -269,19 +286,14 @@ def _char_sweep(d: Poly, terms) -> int:
     """Sum of the character-assembled counts of the terms (g, n, k) mod d.
 
     Per prime P, one twisted series per character, deep enough for every
-    term, serves all of them: the sum is |G|^(-1) sum over chi and terms
-    of conj(chi(g)) F_chi[n][k] mod P.  Primes are added until their
+    live term, serves all of them: the sum is |G|^(-1) sum over chi and
+    terms of conj(chi(g)) F_chi[n][k] mod P.  Primes are added until their
     product exceeds the largest possible sum, so the CRT value is exact.
     """
     group = unit_group(d)
-    # a count that is zero by its degree is left out of the sweep
-    live = [(g, n, k) for g, n, k in terms
-            if k <= n and (n == 0 or k <= max_omega(group.q, n))]
+    live, N, K = _live_terms(group.q, terms)
     if not live:
         return 0
-    N = max(n for _, n, _ in live)
-    # only columns up to the largest k are read, so truncating there is safe
-    K = max(max(1, k) if n >= 1 else 0 for _, n, k in live)
     gvecs = [group.dlog(group.index_of(g)) for g, _, _ in live]
     # each term counts monics of degree at most N
     bound = len(live) * group.q ** N
@@ -330,12 +342,7 @@ def pi_k_interval_exact(qy: IntervalQuery, budget: int | None = None,
     prebuilt series for that modulus can be passed in when many centers
     share one interval shape.
     """
-    n, k = qy.n, qy.k
-    if k == 0 or k > n:
-        return 0
-    d, terms = interval_progressions(qy)
-    series = _series_for(d, n, k, series, budget)
-    return sum(series.count(r, tn, tk) for r, tn, tk in terms)
+    return _table_sum(*interval_progressions(qy), series, budget)
 
 
 def pi_k_interval_chars(qy: IntervalQuery) -> int:
@@ -343,10 +350,7 @@ def pi_k_interval_chars(qy: IntervalQuery) -> int:
 
     One character sweep serves all terms of interval_progressions.
     """
-    if qy.k == 0:
-        return 0
-    d, terms = interval_progressions(qy)
-    return _char_sweep(d, terms)
+    return _char_sweep(*interval_progressions(qy))
 
 
 def ap_enumerate(qy: APQuery, budget: int | None = None) -> int:
@@ -371,12 +375,7 @@ def interval_enumerate(qy: IntervalQuery, budget: int | None = None) -> int:
             f"interval of size {q ** (qy.h + 1)} exceeds the enumeration cap {cap}")
     total = 0
     for code in range(q ** (qy.h + 1)):
-        cs = []
-        v = code
-        for _ in range(qy.h + 1):
-            cs.append(v % q)
-            v //= q
-        f = qy.g + Poly(fld, cs)
+        f = qy.g + Poly(fld, _monic_coeffs_from_index(fld, qy.h + 1, code)[:-1])
         st = factor_stats(f)
         if st.squarefree and st.omega == qy.k:
             total += 1

@@ -139,11 +139,6 @@ class Magnitude:
     def __sub__(self, other: "Magnitude") -> "Magnitude":
         return self + (-other)
 
-    def to_float(self) -> float:
-        if self.sign == 0:
-            return 0.0
-        return self.sign * math.exp(self.ln_abs)
-
 
 def ratio_to_main(value, main: Magnitude) -> float:
     """Exact integer (or Fraction) divided by a positive Magnitude, as a float."""

@@ -60,6 +60,7 @@ from .algebra import (
     poly_gcd,
     _int_factorization,
     _is_prime_mr,
+    _monic_coeffs_from_index,
 )
 from .errors import BudgetExceededError, ConsistencyError, RootFindingError
 from .exactcount import _log_derivative_rows
@@ -84,10 +85,6 @@ __all__ = [
 DEFAULT_GROUP_BUDGET = 100_000
 
 L_COEFF_NOTE = "coefficients indexed from degree 0; constant coefficient is 1"
-
-
-def _lcm(a: int, b: int) -> int:
-    return a * b // math.gcd(a, b)
 
 
 @lru_cache(maxsize=None)
@@ -183,21 +180,13 @@ class UnitGroup:
         self._build_structure()
         self.exponent = 1
         for _, n in self.structure:
-            self.exponent = _lcm(self.exponent, n)
+            self.exponent = math.lcm(self.exponent, n)
         self._class_counts: dict[int, dict[int, dict[int, int]]] = {}
 
     def _residues(self):
-        fld = self.field
-        q = self.q
-        for code in range(q**self.m):
-            cs = []
-            v = code
-            for _ in range(self.m):
-                cs.append(v % q)
-                v //= q
-            while cs and cs[-1] == 0:
-                cs.pop()
-            yield Poly(fld, tuple(cs))
+        # the monic degree-m expansion of each code without its leading 1
+        for code in range(self.q**self.m):
+            yield Poly(self.field, _monic_coeffs_from_index(self.field, self.m, code)[:-1])
 
     def index_of(self, f: Poly) -> int:
         """Index of the residue class of f; rejects non-coprime f."""
@@ -224,7 +213,7 @@ class UnitGroup:
     def element_order(self, i: int) -> int:
         e = 1
         for a, n in zip(self._dlog[i], self._orders):
-            e = _lcm(e, n // math.gcd(a, n))
+            e = math.lcm(e, n // math.gcd(a, n))
         return e
 
     def translation(self, i: int) -> list[int]:

@@ -47,7 +47,6 @@ from .apinterval import (
     APQuery,
     IntervalQuery,
     ap_enumerate,
-    ap_series,
     interval_enumerate,
     pi_k_ap_chars,
     pi_k_ap_exact,
@@ -335,14 +334,7 @@ def cmd_ap(args) -> Report:
     g = _poly_arg(fld, args.g, "g")
     n, k = args.n, args.k
     qy = APQuery(n, k, g, d)
-    if n >= 1 and 1 <= k <= min(n, max_omega(q, n)):
-        series = ap_series(d, n, max(1, min(k, max_omega(q, n))),
-                           method=args.method, budget=args.budget)
-        exact = pi_k_ap_exact(qy, series=series)
-    elif k == 0 and n >= 1:
-        exact = 0
-    else:
-        exact = pi_k_ap_exact(qy, budget=args.budget)
+    exact = pi_k_ap_exact(qy, budget=args.budget, method=args.method)
     payload = {"command": "ap", "q": q, "d": d.text(), "g": g.text(), "n": n, "k": k}
     return _dual_path_report(
         "progression", qy, exact, pi_k_ap_chars,

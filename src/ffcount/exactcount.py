@@ -63,7 +63,7 @@ def byte_budget() -> int:
     try:
         return int(raw)
     except ValueError:
-        raise BudgetExceededError(f"FFCOUNT_BUDGET_BYTES is not an integer: {raw!r}")
+        raise ValueError(f"FFCOUNT_BUDGET_BYTES is not an integer: {raw!r}") from None
 
 
 def slot_bits(q: int, n: int) -> int:

@@ -209,7 +209,7 @@ def test_hand_case_single_irreducible_quadratic():
     d = _p(F3, "0,1")
     assert pi_k_ap_exact(APQuery(2, 1, Poly.one(F3), d)) == 1
     total = sum(
-        pi_k_ap_exact(APQuery(2, 1, Poly.constant(F3, c), d)) for c in (1, 2)
+        pi_k_ap_exact(APQuery(2, 1, Poly(F3, [c]), d)) for c in (1, 2)
     )
     assert total == 3
 

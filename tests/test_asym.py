@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from ffcount.algebra import Poly, factor_stats, field, phi_poly
+from ffcount.algebra import Poly, factor_stats, field, parse_poly, phi_poly
 from ffcount.asym import (
     AnalyticConfig,
     Magnitude,
@@ -124,7 +124,7 @@ def test_g_and_h_normalization_at_zero():
         assert abs(bigH(0.0, q) - 1.0) <= 1e-12
         assert abs(bigG(1.0, q) - (1 - 1 / q)) <= 1e-10
     for txt in ("0,1", "0,0,1", "1,0,1"):
-        d = Poly.parse(F3, txt)
+        d = parse_poly(F3, txt)
         assert abs(bigGd(0.0, d) - 1.0) <= 1e-12
 
 
@@ -165,7 +165,7 @@ def test_main_term_thm2_hand_value():
 
 def test_main_term_thm2_forms_agree():
     for txt in ("0,1", "0,0,1", "1,0,1"):
-        d = Poly.parse(F3, txt)
+        d = parse_poly(F3, txt)
         for k in (1, 2, 3):
             a = main_term_thm2(30, k, d, form="phi", override=True)
             b = main_term_thm2(30, k, d, form="remark", override=True)
@@ -178,7 +178,7 @@ def test_main_term_thm2_forms_agree():
 def test_main_term_thm2_prefactor_identity_exact():
     # phi(d) = q^deg(d) * prod over distinct p | d of (1 - q^-deg p)
     for txt in ("0,1", "0,0,1", "1,0,1"):
-        d = Poly.parse(F3, txt)
+        d = parse_poly(F3, txt)
         q = 3
         prod = Fraction(1)
         for p, _ in factor_stats(d).factors:
@@ -275,17 +275,21 @@ def test_qlimit_sum_approaches_log_power():
     assert abs(s / math.log(400) - 1.0) <= 0.2
 
 
+def _value(m: Magnitude) -> float:
+    return m.sign * math.exp(m.ln_abs)
+
+
 def test_magnitude_arithmetic():
     a = Magnitude.from_float(3.0)
     b = Magnitude.from_float(-2.0)
-    assert abs((a * b).to_float() + 6.0) <= 1e-12
-    assert abs((a / b).to_float() + 1.5) <= 1e-12
-    assert abs((a + b).to_float() - 1.0) <= 1e-12
-    assert abs((a - b).to_float() - 5.0) <= 1e-12
+    assert abs(_value(a * b) + 6.0) <= 1e-12
+    assert abs(_value(a / b) + 1.5) <= 1e-12
+    assert abs(_value(a + b) - 1.0) <= 1e-12
+    assert abs(_value(a - b) - 5.0) <= 1e-12
     assert (a - a).sign == 0
     assert (-a).sign == -1
     z = Magnitude.zero()
-    assert abs((a + z).to_float() - 3.0) <= 1e-12
+    assert abs(_value(a + z) - 3.0) <= 1e-12
     assert (a * z).sign == 0
     with pytest.raises(ZeroDivisionError):
         a / z

@@ -12,7 +12,7 @@ from ffcount.algebra import FieldSpec, Poly, parse_poly
 from ffcount.apinterval import APQuery, IntervalQuery, ap_enumerate, interval_enumerate
 from ffcount.asym import Magnitude
 from ffcount.errors import OutsideProvenRangeError, UndefinedMainTermError
-from ffcount.exactcount import brute_force_count, omega_mean_exact
+from ffcount.exactcount import brute_force_count, max_omega, omega_mean_exact
 
 
 def run_cli(capsys, argv):
@@ -102,6 +102,29 @@ def test_budget_env_exits_3(monkeypatch, capsys):
     monkeypatch.setenv("FFCOUNT_BUDGET_BYTES", "64")
     code, _, _ = run_cli(capsys, ["count", "--q", "2", "--n", "50"])
     assert code == 3
+
+
+def test_malformed_budget_env_exits_2(monkeypatch, capsys):
+    monkeypatch.setenv("FFCOUNT_BUDGET_BYTES", "abc")
+    code, _, err = run_cli(capsys, ["count", "--q", "2", "--n", "5"])
+    assert code == 2
+    assert "FFCOUNT_BUDGET_BYTES is not an integer" in err
+
+
+def test_counts_zero_by_degree_need_no_table(capsys):
+    # a 10-byte budget admits no table, so only the counts that are zero
+    # by degree alone (k = 0, or k past max_omega) can be answered
+    n, cap = 10, max_omega(2, 10)
+    base = {"ap": ["ap", "--q", "2", "--d", "0,0,0,1", "--g", "1", "--n", str(n)],
+            "interval": ["interval", "--q", "2", "--g", "1" + ",0" * (n - 1) + ",1",
+                         "--h", "3"]}
+    for argv in base.values():
+        for k in [0, *range(cap + 1, n + 1)]:
+            code, out, err = run_cli(capsys, argv + ["--k", str(k), "--budget", "10"])
+            assert code == 0, (argv, k, err)
+            payload = json.loads(out)
+            assert payload["exact"] == payload["char_path"] == "0"
+        assert run_cli(capsys, argv + ["--k", "2", "--budget", "10"])[0] == 3
 
 
 def test_dual_path_mismatch_exits_4(monkeypatch, capsys):
