@@ -46,6 +46,7 @@ _EXTENSION_Q_LIMIT = 64
 
 
 def _is_prime_int(n: int) -> bool:
+    """Trial division, about sqrt(n) steps: the test oracle of _is_prime_mr."""
     if n < 2:
         return False
     if n % 2 == 0:
@@ -96,7 +97,7 @@ class FieldSpec:
     __slots__ = ("p", "e", "q", "modulus", "_mul_t", "_inv_t", "_neg_t")
 
     def __init__(self, p: int, e: int = 1, modulus: tuple[int, ...] | None = None):
-        if not _is_prime_int(p):
+        if not _is_prime_mr(p):
             raise ValueError(f"p = {p} is not prime")
         if e < 1:
             raise ValueError("extension degree e must be >= 1")

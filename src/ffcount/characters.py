@@ -28,8 +28,11 @@ Representation conventions used throughout this module:
   v -> v * u for all v at once as one shift of every vector.  Polynomial
   multiply-and-reduce runs only during construction, before the table
   exists.
-* A character is an exponent vector against the basis: its value on
-  generator i is the order-n_i root of unity raised to exponents[i].
+* A character is named by its index c, the mixed-radix code of its
+  exponent vector e against the basis, so characters and elements share
+  one order: c's vector is the dlog of the element whose code is c, and
+  c = 0 is principal.  Its value on the element with dlog t is zeta_E
+  raised to sum_i e_i t_i E/n_i, a pairing symmetric in e and t.
   Values stay exact: integers modulo the group exponent E, or residues
   mod a prime P = 1 (mod E), where zeta_E maps to a fixed element of
   exact order E.  Exact zero tests for sums of roots of unity reduce the
@@ -48,7 +51,6 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product as _iproduct
 from operator import add, mul, sub
 
 from .algebra import (
@@ -68,10 +70,8 @@ from .exactcount import _log_derivative_rows
 __all__ = [
     "CharacterSums",
     "DEFAULT_GROUP_BUDGET",
-    "DirichletChar",
     "LPoly",
     "UnitGroup",
-    "characters",
     "cyclotomic_polynomial",
     "l_polynomial",
     "root_of_unity",
@@ -455,49 +455,6 @@ def unit_group(d: Poly, budget: int | None = None) -> UnitGroup:
     return UnitGroup(d, budget)
 
 
-@dataclass(frozen=True)
-class DirichletChar:
-    """Character of a unit group, stored as exponents against the basis."""
-
-    group: UnitGroup
-    exponents: tuple[int, ...]
-
-    def __post_init__(self):
-        orders = [n for _, n in self.group.structure]
-        if len(self.exponents) != len(orders):
-            raise ValueError("exponent vector length mismatch")
-        if any(not 0 <= e < n for e, n in zip(self.exponents, orders)):
-            raise ValueError("exponents out of range")
-
-    @property
-    def is_principal(self) -> bool:
-        return all(e == 0 for e in self.exponents)
-
-    def value_exponent(self, f) -> int | None:
-        """Value on f as an exponent modulo the group exponent; None if not a unit."""
-        g = self.group
-        if isinstance(f, Poly):
-            try:
-                idx = g.index_of(f)
-            except ValueError:
-                return None
-        else:
-            idx = f
-        vec = g.dlog(idx)
-        E = g.exponent
-        total = 0
-        for e, t, (_, n) in zip(self.exponents, vec, g.structure):
-            total += e * t * (E // n)
-        return total % E
-
-
-def characters(group: UnitGroup) -> tuple[DirichletChar, ...]:
-    """The full dual group; the all-zero (principal) character comes first."""
-    orders = [n for _, n in group.structure]
-    return tuple(DirichletChar(group, exps)
-                 for exps in _iproduct(*(range(n) for n in orders)))
-
-
 def _find_roots(coeffs: list[complex]) -> tuple[tuple[complex, ...], float]:
     """Roots of a monic complex polynomial by simultaneous iteration.
 
@@ -539,23 +496,27 @@ def _find_roots(coeffs: list[complex]) -> tuple[tuple[complex, ...], float]:
 class LPoly:
     """Dirichlet L-polynomial data for a non-principal character."""
 
-    chi: DirichletChar
+    exponents: tuple[int, ...]
     coeffs: tuple[complex, ...]
     effective_degree: int
     inverse_roots: tuple[complex, ...]
     residual: float
 
 
-def _l_coefficient_counts(chi: DirichletChar, j: int) -> list[int]:
-    """chi summed over all monics of degree j < m, as root-of-unity counts.
+def _l_coefficient_counts(group: UnitGroup, c: int) -> list[list[int]]:
+    """Character c summed over the monics of each degree j < m, as root-of-unity counts.
 
     Monics not coprime to d have value 0, so only the monic residues count.
     """
-    g = chi.group
-    counts = [0] * g.exponent
-    for idx in g.monic_residues[j]:
-        counts[chi.value_exponent(idx)] += 1
-    return counts
+    values = _char_exponents(group, group.dlog(group._by_code[c]))
+    code = group.code
+    rows = []
+    for residues in group.monic_residues:
+        counts = [0] * group.exponent
+        for idx in residues:
+            counts[values[code[idx]]] += 1
+        rows.append(counts)
+    return rows
 
 
 def _counts_to_complex(counts: list[int], E: int) -> complex:
@@ -566,16 +527,15 @@ def _counts_to_complex(counts: list[int], E: int) -> complex:
     return acc
 
 
-def l_polynomial(chi: DirichletChar) -> LPoly:
-    """Coefficients and inverse roots of L(T, chi) for non-principal chi."""
-    if chi.is_principal:
-        raise ValueError("the principal character has no polynomial L-function")
-    g = chi.group
-    E = g.exponent
-    count_rows = [_l_coefficient_counts(chi, j) for j in range(g.m)]
+def l_polynomial(group: UnitGroup, c: int) -> LPoly:
+    """Coefficients and inverse roots of L(T, chi) for the character of index c > 0."""
+    if not 0 < c < group.order:
+        raise ValueError(f"character index {c} is not in 1..{group.order - 1}")
+    E = group.exponent
+    count_rows = _l_coefficient_counts(group, c)
     coeffs = tuple(_counts_to_complex(row, E) for row in count_rows)
     eff = 0
-    for j in range(g.m - 1, -1, -1):
+    for j in range(group.m - 1, -1, -1):
         if not root_unity_sum_is_zero(count_rows[j], E):
             eff = j
             break
@@ -585,20 +545,21 @@ def l_polynomial(chi: DirichletChar) -> LPoly:
     roots, residual = _find_roots(rev)
     if residual > 1e-10:
         raise RootFindingError("inverse-root iteration stalled", residual)
-    return LPoly(chi, coeffs, eff, roots, residual)
+    return LPoly(group.dlog(group._by_code[c]), coeffs, eff, roots, residual)
 
 
-def weil_check(chi: DirichletChar, tol: float = 1e-6) -> dict:
-    """Classify inverse-root moduli of L(T, chi) against {1, sqrt(q)}.
+def weil_check(group: UnitGroup, c: int, tol: float = 1e-6) -> dict:
+    """Classify inverse-root moduli of L(T, chi) against {1, sqrt(q)}, chi of index c.
 
     Returns a report dict; "ok" is True when every root modulus is within
-    tol of one of the two predicted values.  Missing degree (effective
-    degree below m-1) is reported as degree_deficit rather than as zero
-    roots.
+    tol (0 <= tol < inf) of one of the two predicted values.  Missing
+    degree (effective degree below m-1) is reported as degree_deficit
+    rather than as zero roots.
     """
-    lp = l_polynomial(chi)
-    g = chi.group
-    rt_q = math.sqrt(g.q)
+    if not 0 <= tol < math.inf:
+        raise ValueError(f"tol must satisfy 0 <= tol < inf, got {tol!r}")
+    lp = l_polynomial(group, c)
+    rt_q = math.sqrt(group.q)
     roots = []
     ok = True
     for a in lp.inverse_roots:
@@ -610,11 +571,11 @@ def weil_check(chi: DirichletChar, tol: float = 1e-6) -> dict:
             ok = False
         roots.append({"re": a.real, "im": a.imag, "modulus": mod, "class": cls})
     return {
-        "q": g.q,
-        "modulus": g.d.text(),
-        "exponents": list(chi.exponents),
+        "q": group.q,
+        "modulus": group.d.text(),
+        "exponents": list(lp.exponents),
         "inverse_roots": roots,
-        "degree_deficit": (g.m - 1) - lp.effective_degree,
+        "degree_deficit": (group.m - 1) - lp.effective_degree,
         "ok": ok,
         "coefficient_convention": L_COEFF_NOTE,
     }
@@ -644,7 +605,8 @@ def root_of_unity(E: int, P: int) -> int:
 
 def _char_exponents(group: UnitGroup, vec) -> list[int]:
     """Value exponents, modulo E, of the element with dlog vector vec under
-    every character, in the order of characters(group)."""
+    every character, by index; by symmetry, with vec a character's
+    exponent vector, that character's value exponents by element code."""
     E = group.exponent
     out = [0]
     for t, (_, n) in zip(vec, group.structure):
@@ -654,7 +616,7 @@ def _char_exponents(group: UnitGroup, vec) -> list[int]:
 
 
 def _char_power_map(group: UnitGroup, r: int) -> list[int]:
-    """Index of chi^r for every character index, in the order of characters(group)."""
+    """Index of chi^r for every character index chi."""
     out = [0]
     for _, n in group.structure:
         out = [c * n + e * r % n for c in out for e in range(n)]
@@ -667,8 +629,8 @@ class CharacterSums:
     P is a prime with P = 1 (mod E), E the group exponent, and
     powers[e] = w^e for the root_of_unity w of order E mod P; sending
     zeta_E to w maps Z[zeta_E] onto F_P, so every entry is the image of an
-    exact algebraic integer.  A character is addressed by its index c, its
-    position in characters(group).  weights[t][c] = t * P_chi(t) mod P,
+    exact algebraic integer.  A character is addressed by its index c, the
+    mixed-radix code of its exponent vector.  weights[t][c] = t * P_chi(t) mod P,
     where P_chi(t) sums chi over the monic irreducibles of degree t not
     dividing d.  It is built without the irreducibles or class counts:
 

@@ -35,14 +35,13 @@ import argparse
 import csv
 import io
 import json
-import math
 import os
 import sys
 import tempfile
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .algebra import FieldSpec, Poly, default_modulus, parse_poly
+from .algebra import FieldSpec, Poly, _is_prime_mr, default_modulus, parse_poly
 from .apinterval import (
     APQuery,
     IntervalQuery,
@@ -67,7 +66,7 @@ from .asym import (
     ratio_to_main,
     thm1_normalized_error,
 )
-from .characters import L_COEFF_NOTE, characters, unit_group, weil_check
+from .characters import L_COEFF_NOTE, unit_group, weil_check
 from .errors import (
     BudgetExceededError,
     ConsistencyError,
@@ -128,22 +127,28 @@ def _parse_range(text: str, what: str) -> list[int]:
     raise UsageError(f"{what}: cannot parse {text!r}")
 
 
+def _int_root(n: int, e: int) -> int:
+    """floor(n ** (1/e)) in integers for n >= 1, by Newton's method from above."""
+    r = 1 << -(-n.bit_length() // e)
+    while True:
+        s = ((e - 1) * r + n // r ** (e - 1)) // e
+        if s >= r:
+            return r
+        r = s
+
+
 def _prime_power(q: int) -> tuple[int, int]:
-    if q < 2:
-        raise UsageError(f"--q {q} is not a prime power")
-    p = q
-    for cand in range(2, math.isqrt(q) + 1):
-        if q % cand == 0:
-            p = cand
-            break
-    e = 0
-    v = q
-    while v % p == 0:
-        v //= p
-        e += 1
-    if v != 1:
-        raise UsageError(f"--q {q} is not a prime power")
-    return p, e
+    """(p, e) with p prime and p^e = q, from the exact e-th roots of q.
+
+    Primality is the Miller-Rabin test, which raises ValueError (a usage
+    error) for a root at or above its proven bound of 3.3e24.
+    """
+    if q > 1:
+        for e in range(q.bit_length() - 1, 0, -1):
+            p = _int_root(q, e)
+            if p**e == q and _is_prime_mr(p):
+                return p, e
+    raise UsageError(f"--q {q} is not a prime power")
 
 
 def _field_from_args(args, required: bool = True) -> FieldSpec | None:
@@ -365,10 +370,8 @@ def cmd_weil(args) -> Report:
     reports = []
     rows = []
     all_ok = True
-    for chi in characters(group):
-        if chi.is_principal:
-            continue
-        rep = weil_check(chi, tol=args.tol)
+    for c in range(1, group.order):
+        rep = weil_check(group, c, tol=args.tol)
         all_ok = all_ok and rep["ok"]
         reports.append({
             "exponents": rep["exponents"],
@@ -471,8 +474,8 @@ def _selftest_checks():
 
     def weil_mod_x2_plus_1():
         group = unit_group(parse_poly(f3, "1,0,1"))
-        chs = [c for c in characters(group) if not c.is_principal]
-        return len(chs) == 7 and all(weil_check(c)["ok"] for c in chs)
+        return group.order == 8 and all(
+            weil_check(group, c)["ok"] for c in range(1, group.order))
 
     def progression_paths():
         qy = APQuery(4, 2, parse_poly(f3, "1"), parse_poly(f3, "0,1"))

@@ -27,3 +27,26 @@ def q2_tables():
     sq = euler_product_squarefree(2, 400, K)
     al = euler_product_allfactors(2, 400, K)
     return Q2Tables(sq, al, time.monotonic() - t0)
+
+
+def _char_value(group, c, u):
+    """Value exponent mod E of character c on element u, by the definition.
+
+    c's exponent vector is the mixed-radix expansion of c against the basis
+    orders, first axis most significant; the value is sum e_i t_i (E / n_i)
+    with t the dlog vector of u.  Production pairs them in _char_exponents.
+    """
+    orders = [n for _, n in group.structure]
+    exps = []
+    for n in reversed(orders):
+        c, e = divmod(c, n)
+        exps.append(e)
+    exps.reverse()
+    E = group.exponent
+    return sum(e * t * (E // n) for e, t, n in zip(exps, group.dlog(u), orders)) % E
+
+
+@pytest.fixture(scope="session")
+def char_value():
+    """The test oracle for a character's value, independent of _char_exponents."""
+    return _char_value

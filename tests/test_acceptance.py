@@ -37,7 +37,7 @@ from ffcount.asym import (
     qlimit_sum,
     thm1_normalized_error,
 )
-from ffcount.characters import characters, unit_group, weil_check
+from ffcount.characters import unit_group, weil_check
 from ffcount.exactcount import (
     brute_force_tables,
     cauchy_extract,
@@ -145,11 +145,10 @@ def test_criterion_06_root_moduli():
             for d in enumerate_monics(fld, deg):
                 if phi_poly(d) == 1:
                     continue
-                for chi in characters(unit_group(d)):
-                    if chi.is_principal:
-                        continue
+                group = unit_group(d)
+                for c in range(1, group.order):
                     checked += 1
-                    ok = ok and weil_check(chi, tol=1e-6)["ok"]
+                    ok = ok and weil_check(group, c, tol=1e-6)["ok"]
     elapsed = time.monotonic() - t0
     _report(6, "inverse-root moduli in {1, sqrt q}", ok and elapsed < 60,
             f"{checked} characters, {elapsed:.1f}s")

@@ -21,9 +21,7 @@ from ffcount import characters as characters_module
 from ffcount.characters import (
     DEFAULT_GROUP_BUDGET,
     CharacterSums,
-    DirichletChar,
     UnitGroup,
-    characters,
     cyclotomic_polynomial,
     l_polynomial,
     root_of_unity,
@@ -162,6 +160,10 @@ def test_index_of_rejects_non_coprime_and_wrong_field():
         g.index_of(_p(F2, "0,0,1,1"))  # X^3 + X^2 = X^2 (X + 1), shares X
     with pytest.raises(ValueError):
         g.index_of(Poly.one(F3))
+    # zero, the modulus and its multiples are not units
+    for f in (Poly.zero(F2), _p(F2, "0,0,1"), _p(F2, "0,0,1") * _p(F2, "1,1")):
+        with pytest.raises(ValueError):
+            g.index_of(f)
     # reduction mod d happens before the coprimality check
     assert g.index_of(_p(F2, "1,0,1")) == g.index_of(Poly.one(F2))
 
@@ -182,58 +184,76 @@ def test_group_rejects_bad_modulus():
 # -- characters -----------------------------------------------------------------
 
 
-def test_character_count_and_principal_first():
-    for fld, d_text in ((F2, "0,0,1"), (F3, "1,0,1"), (F3, "0,2,1"), (F4, "1,1")):
+# Groups with one axis and with several: X^2 + 1 over F_3 (cyclic 8),
+# X(X + 2) over F_3, X^3 over F_2 (cyclic 4), X^4 over F_2 (axes 4 x 2)
+# and X^3 over F_3 (axes 6 x 3)
+_CHAR_MODULI = ((F3, "1,0,1"), (F3, "0,2,1"), (F2, "0,0,0,1"), (F2, "0,0,0,0,1"),
+                (F3, "0,0,0,1"))
+
+
+def _value_rows(g):
+    """_char_exponents of every element: rows[u][c] is character c on u."""
+    return [characters_module._char_exponents(g, g.dlog(u)) for u in range(g.order)]
+
+
+def test_character_count_and_principal_first(char_value):
+    # index c runs over range(order); c = 0 is 1 on every element, and the
+    # value rows of distinct indices differ, so there are order characters
+    for fld, d_text in ((F2, "0,0,1"), (F3, "1,0,1"), (F3, "0,2,1"), (F4, "1,1"),
+                        (F2, "0,0,0,0,1")):
         g = unit_group(_p(fld, d_text))
-        chs = characters(g)
-        assert len(chs) == g.order
-        assert chs[0].is_principal
-        assert all(not chi.is_principal for chi in chs[1:])
+        table = {tuple(char_value(g, c, u) for u in range(g.order)) for c in range(g.order)}
+        assert len(table) == g.order
+        assert all(char_value(g, 0, u) == 0 for u in range(g.order))
+        assert all(any(char_value(g, c, u) for u in range(g.order))
+                   for c in range(1, g.order))
 
 
-def test_character_values_unitary_and_multiplicative():
+def test_character_values_unitary_and_multiplicative(char_value):
     # values are E-th roots of unity, so exponents mod E, and they add
-    # mod E on products of polynomials
-    g = unit_group(_p(F3, "1,0,1"))
-    E = g.exponent
+    # mod E on products of polynomials, for every character at once
     rng = random.Random(11)
-    for chi in characters(g):
+    for fld, d_text in _CHAR_MODULI:
+        g = unit_group(_p(fld, d_text))
+        E = g.exponent
         for _ in range(20):
             i = rng.randrange(g.order)
             j = rng.randrange(g.order)
-            ei = chi.value_exponent(g.elements[i])
-            ej = chi.value_exponent(g.elements[j])
-            assert 0 <= ei < E and 0 <= ej < E
-            prod = g.elements[i] * g.elements[j]
-            assert chi.value_exponent(prod) == (ei + ej) % E
+            ei = characters_module._char_exponents(g, g.dlog(i))
+            ej = characters_module._char_exponents(g, g.dlog(j))
+            assert len(ei) == g.order
+            assert all(0 <= e < E for e in ei + ej)
+            assert ei == [char_value(g, c, i) for c in range(g.order)]
+            prod = g.index_of(g.elements[i] * g.elements[j])
+            assert characters_module._char_exponents(g, g.dlog(prod)) == [
+                (a + b) % E for a, b in zip(ei, ej)]
 
 
-def test_character_zero_outside_units():
+def test_character_index_validation():
     g = unit_group(_p(F3, "1,0,1"))
-    chi = characters(g)[1]
-    assert chi.value_exponent(Poly.zero(F3)) is None
-    assert chi.value_exponent(_p(F3, "1,0,1")) is None
-    assert chi.value_exponent(Poly.x(F3) * _p(F3, "1,0,1")) is None
+    for c in (g.order, -1, 10**6):
+        with pytest.raises(ValueError):
+            l_polynomial(g, c)
+        with pytest.raises(ValueError):
+            weil_check(g, c)
+    for tol in (float("nan"), float("inf"), -1.0):
+        with pytest.raises(ValueError):
+            weil_check(g, 1, tol=tol)
+    assert weil_check(g, 1, tol=0.0)["q"] == 3
 
 
-def test_character_exponent_validation():
-    g = unit_group(_p(F3, "1,0,1"))
-    with pytest.raises(ValueError):
-        DirichletChar(g, (8,))
-    with pytest.raises(ValueError):
-        DirichletChar(g, (1, 0))
-
-
-def test_orthogonality_over_group_exact():
+def test_orthogonality_over_group_exact(char_value):
     # sum over the group of chi is 0 for non-principal chi, order for principal,
     # established with the exact root-of-unity zero test, no float tolerance
-    for d in (_p(F3, "1,0,1"), _p(F3, "0,2,1"), _p(F2, "0,0,0,1")):
-        g = unit_group(d)
-        for chi in characters(g):
+    for fld, d_text in _CHAR_MODULI:
+        g = unit_group(_p(fld, d_text))
+        rows = _value_rows(g)
+        for c in range(g.order):
             counts = [0] * g.exponent
-            for idx in range(g.order):
-                counts[chi.value_exponent(idx)] += 1
-            if chi.is_principal:
+            for u in range(g.order):
+                assert rows[u][c] == char_value(g, c, u)
+                counts[rows[u][c]] += 1
+            if c == 0:
                 assert counts[0] == g.order
             else:
                 assert root_unity_sum_is_zero(counts, g.exponent)
@@ -242,15 +262,15 @@ def test_orthogonality_over_group_exact():
 def test_orthogonality_over_characters():
     # sum over characters of chi(f) conj(chi(h)) picks out f = h mod d
     # (exact: the exponents of chi(f) conj(chi(h)) are differences mod E)
-    for d in (_p(F3, "1,0,1"), _p(F3, "0,2,1"), _p(F2, "0,0,0,1")):
-        g = unit_group(d)
+    for fld, d_text in _CHAR_MODULI:
+        g = unit_group(_p(fld, d_text))
         E = g.exponent
-        chs = characters(g)
+        rows = _value_rows(g)
         for i in range(g.order):
             for j in range(g.order):
                 counts = [0] * E
-                for chi in chs:
-                    counts[(chi.value_exponent(i) - chi.value_exponent(j)) % E] += 1
+                for a, b in zip(rows[i], rows[j]):
+                    counts[(a - b) % E] += 1
                 if i == j:
                     assert counts[0] == g.order
                 else:
@@ -285,10 +305,18 @@ def test_root_unity_sum_zero_test():
 # -- L-polynomials ---------------------------------------------------------------
 
 
+def _value_on(g, c, f, char_value):
+    """Character c on the polynomial f, or None when f is not a unit mod d."""
+    try:
+        return char_value(g, c, g.index_of(f))
+    except ValueError:
+        return None
+
+
 def test_l_polynomial_mod_x2_over_f2_is_one_minus_t():
     g = unit_group(_p(F2, "0,0,1"))
-    chi = characters(g)[1]
-    lp = l_polynomial(chi)
+    lp = l_polynomial(g, 1)
+    assert lp.exponents == (1,)
     assert lp.effective_degree == 1
     assert abs(lp.coeffs[0] - 1) == 0
     assert abs(lp.coeffs[1] + 1) < 1e-12
@@ -300,16 +328,18 @@ def test_l_polynomial_mod_x2_over_f2_is_one_minus_t():
 def test_l_polynomial_rejects_principal():
     g = unit_group(_p(F2, "0,0,1"))
     with pytest.raises(ValueError):
-        l_polynomial(characters(g)[0])
+        l_polynomial(g, 0)
 
 
-def test_l_constant_coefficient_is_one_and_degree_bound():
-    for d in (_p(F3, "1,0,1"), _p(F2, "0,0,0,1"), _p(F3, "0,2,1")):
+def test_l_constant_coefficient_is_one_and_degree_bound(char_value):
+    for d in (_p(F3, "1,0,1"), _p(F2, "0,0,0,1"), _p(F3, "0,2,1"), _p(F2, "0,0,0,0,1"),
+              _p(F3, "0,0,0,1")):
         g = unit_group(d)
-        for chi in characters(g)[1:]:
-            lp = l_polynomial(chi)
+        for c in range(1, g.order):
+            lp = l_polynomial(g, c)
+            rows = characters_module._l_coefficient_counts(g, c)
             assert lp.coeffs[0] == 1
-            assert len(lp.coeffs) == g.m
+            assert len(lp.coeffs) == len(rows) == g.m
             assert lp.effective_degree <= g.m - 1
             assert len(lp.inverse_roots) == lp.effective_degree
             # c_j is chi summed over the monics of degree j: the same
@@ -317,43 +347,44 @@ def test_l_constant_coefficient_is_one_and_degree_bound():
             for j in range(g.m):
                 counts = [0] * g.exponent
                 for f in enumerate_monics(d.field, j):
-                    e = chi.value_exponent(f)
+                    e = _value_on(g, c, f, char_value)
                     if e is not None:
                         counts[e] += 1
-                assert characters_module._l_coefficient_counts(chi, j) == counts
+                assert rows[j] == counts
                 assert lp.coeffs[j] == characters_module._counts_to_complex(
                     counts, g.exponent)
-            top = max(j for j in range(g.m) if not root_unity_sum_is_zero(
-                characters_module._l_coefficient_counts(chi, j), g.exponent))
+            top = max(j for j in range(g.m)
+                      if not root_unity_sum_is_zero(rows[j], g.exponent))
             assert lp.effective_degree == top
 
 
-def test_character_sums_vanish_at_and_above_modulus_degree():
+def test_character_sums_vanish_at_and_above_modulus_degree(char_value):
     g = unit_group(_p(F3, "1,0,1"))
-    for chi in characters(g)[1:]:
+    for c in range(1, g.order):
         for n in (g.m, g.m + 1):
             counts = [0] * g.exponent
             for f in enumerate_monics(F3, n):
-                e = chi.value_exponent(f)
+                e = _value_on(g, c, f, char_value)
                 if e is not None:
                     counts[e] += 1
             assert root_unity_sum_is_zero(counts, g.exponent)
 
 
-def test_l_polynomial_conjugate_symmetry():
+def test_l_polynomial_conjugate_symmetry(char_value):
     # the counts of conj(chi) are those of chi with exponents negated mod E
-    g = unit_group(_p(F3, "1,0,1"))
-    E = g.exponent
-    for chi in characters(g)[1:]:
-        bar = DirichletChar(g, tuple(-e % n for e, (_, n) in zip(chi.exponents, g.structure)))
-        for j in range(g.m):
-            a = characters_module._l_coefficient_counts(chi, j)
-            b = characters_module._l_coefficient_counts(bar, j)
-            assert b == [a[-e % E] for e in range(E)]
-        a, b = l_polynomial(chi), l_polynomial(bar)
-        assert a.effective_degree == b.effective_degree
-        for x, y in zip(a.coeffs, b.coeffs):
-            assert abs(x.conjugate() - y) < 1e-12
+    for d in (_p(F3, "1,0,1"), _p(F2, "0,0,0,0,1")):
+        g = unit_group(d)
+        E = g.exponent
+        values = [[char_value(g, c, u) for u in range(g.order)] for c in range(g.order)]
+        for c in range(1, g.order):
+            bar = values.index([-e % E for e in values[c]])
+            for a_row, b_row in zip(characters_module._l_coefficient_counts(g, c),
+                                    characters_module._l_coefficient_counts(g, bar)):
+                assert b_row == [a_row[-e % E] for e in range(E)]
+            a, b = l_polynomial(g, c), l_polynomial(g, bar)
+            assert a.effective_degree == b.effective_degree
+            for x, y in zip(a.coeffs, b.coeffs):
+                assert abs(x.conjugate() - y) < 1e-12
 
 
 def test_weil_check_all_nonprincipal_small_moduli():
@@ -364,9 +395,9 @@ def test_weil_check_all_nonprincipal_small_moduli():
                 if phi_poly(d) == 1:
                     continue
                 g = unit_group(d)
-                for chi in characters(g)[1:]:
-                    rep = weil_check(chi, tol=1e-6)
-                    assert rep["ok"], (fld.q, d.text(), chi.exponents, rep)
+                for c in range(1, g.order):
+                    rep = weil_check(g, c, tol=1e-6)
+                    assert rep["ok"], (fld.q, d.text(), c, rep)
                     assert rep["degree_deficit"] >= 0
                     for r in rep["inverse_roots"]:
                         assert r["class"] in ("1", "sqrt_q")
@@ -374,9 +405,10 @@ def test_weil_check_all_nonprincipal_small_moduli():
 
 def test_weil_report_shape():
     g = unit_group(_p(F3, "1,0,1"))
-    rep = weil_check(characters(g)[1])
+    rep = weil_check(g, 1)
     assert rep["q"] == 3
     assert rep["modulus"] == "1,0,1"
+    assert rep["exponents"] == [1]
     assert set(rep) >= {"exponents", "inverse_roots", "degree_deficit", "ok"}
     r = rep["inverse_roots"][0]
     assert abs(complex(r["re"], r["im"])) == pytest.approx(r["modulus"])
@@ -385,7 +417,7 @@ def test_weil_report_shape():
 # -- twisted counts --------------------------------------------------------------
 
 
-def test_twisted_series_principal_matches_coprime_squarefree_counts():
+def test_twisted_series_principal_matches_coprime_squarefree_counts(char_value):
     # every character, the principal one included, against the sum of
     # chi(f) over the enumerated squarefree monics with k factors, in F_P
     for d in (_p(F3, "1,0,1"), _p(F2, "0,0,0,1")):
@@ -398,26 +430,28 @@ def test_twisted_series_principal_matches_coprime_squarefree_counts():
         group = unit_group(d)
         P = next(word_primes(group.exponent))
         sums = CharacterSums(group, 6, P)
-        for c, chi in enumerate(characters(group)):
+        for c in range(group.order):
             rows = twisted_series(c, sums, 6)
             for n in range(7):
                 for k in range(7):
-                    exps = (chi.value_exponent(f) for f in by_shape.get((n, k), ()))
+                    exps = (_value_on(group, c, f, char_value)
+                            for f in by_shape.get((n, k), ()))
                     direct = sum(sums.powers[e] for e in exps if e is not None) % P
-                    assert rows[n][k] == direct, (d.text(), chi.exponents, n, k)
+                    assert rows[n][k] == direct, (d.text(), c, n, k)
 
 
-def test_character_prime_sums_match_enumerated_irreducibles():
+def test_character_prime_sums_match_enumerated_irreducibles(char_value):
     # t P_chi(t) = t * sum of chi(p) over irreducibles of degree t not dividing d
     for d in (_p(F2, "0,0,0,1"), _p(F3, "1,1,0,1"), _p(F4, "1,0,1"), _p(F2, "0,1,1,0,1")):
         group = unit_group(d)
         P = next(word_primes(group.exponent))
         sums = CharacterSums(group, 6, P)
-        for c, chi in enumerate(characters(group)):
+        for c in range(group.order):
             for t in range(1, 7):
-                exps = (chi.value_exponent(p) for p in enumerate_irreducibles(d.field, t))
+                exps = (_value_on(group, c, p, char_value)
+                        for p in enumerate_irreducibles(d.field, t))
                 direct = t * sum(sums.powers[e] for e in exps if e is not None) % P
-                assert sums.weights[t][c] == direct, (d.text(), chi.exponents, t)
+                assert sums.weights[t][c] == direct, (d.text(), c, t)
 
 
 def test_word_primes_carry_a_root_of_unity_of_exact_order():

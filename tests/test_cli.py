@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -186,6 +187,20 @@ def test_q_not_prime_power(capsys):
     assert run_cli(capsys, ["count", "--q", "6", "--n", "3"])[0] == 2
 
 
+def test_prime_power_check_is_fast_on_large_fields(capsys):
+    # exact integer roots and Miller-Rabin, not trial division up to sqrt(q)
+    t0 = time.monotonic()
+    code, out, _ = run_cli(capsys, ["count", "--q", "1000000000000000003", "--n", "2"])
+    assert code == 0 and time.monotonic() - t0 < 2
+    assert json.loads(out)["q"] == 10**18 + 3
+    assert run_cli(capsys, ["count", "--q", "3486784401", "--n", "2"])[0] == 3  # 3^20
+    assert run_cli(capsys, ["count", "--q", "100", "--n", "2"])[0] == 2
+    assert cli._prime_power(2**100) == (2, 100)
+    # past the proven range of the Miller-Rabin bases: a usage error
+    code, _, err = run_cli(capsys, ["count", "--q", str(10**25 + 13), "--n", "2"])
+    assert code == 2 and "3.3e24" in err
+
+
 def test_range_parser():
     assert cli._parse_range("8", "x") == [8]
     assert cli._parse_range("1:3", "x") == [1, 2, 3]
@@ -269,6 +284,14 @@ def test_weil_example(capsys):
         assert ch["ok"] is True
         for root in ch["inverse_roots"]:
             assert root["class"] in ("1", "sqrt_q")
+
+
+def test_weil_tol_outside_range_exits_2(capsys):
+    # every comparison with NaN is false, so a NaN tol would pass every root
+    for tol in ("nan", "inf", "-1"):
+        code, out, err = run_cli(capsys, ["weil", "--q", "3", "--d", "1,0,1", "--tol", tol])
+        assert (code, out) == (2, ""), tol
+        assert err.startswith("ffcount: tol must satisfy")
 
 
 def test_ap_schema_and_value(capsys):
