@@ -32,9 +32,9 @@ each coefficient is a slash-separated F_p vector, e.g. "1/0,0/1".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from collections.abc import Iterator
 from functools import lru_cache
-from typing import Iterator
 
 from .errors import BudgetExceededError
 
@@ -686,14 +686,11 @@ def is_irreducible(f: Poly) -> bool:
     return _psub(field, _ppow_mod(field, x, field.q**n, cs), x) == ()
 
 
-@dataclass(frozen=True)
-class FactorStats:
-    """Factorization summary: distinct-factor count, Mobius value, factor list."""
+class FactorStats(namedtuple("FactorStats", "omega mu squarefree factors")):
+    """Factorization summary: distinct-factor count omega, Mobius value mu,
+    squarefree flag, and the factors as a tuple of (Poly, multiplicity)."""
 
-    omega: int
-    mu: int
-    squarefree: bool
-    factors: tuple[tuple[Poly, int], ...]
+    __slots__ = ()
 
 
 def factor_stats(f: Poly, budget: int | None = None) -> FactorStats:

@@ -42,7 +42,7 @@ Representation conventions used throughout this module:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .algebra import (
     Poly,
@@ -70,42 +70,36 @@ __all__ = [
     "pi_k_interval_exact",
 ]
 
-@dataclass(frozen=True)
-class APQuery:
+class APQuery(namedtuple("APQuery", "n k g d")):
     """Progression query: degree n, factor count k, residue g modulo d."""
 
-    n: int
-    k: int
-    g: Poly
-    d: Poly
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.d.is_monic or self.d.degree < 1:
+    def __new__(cls, n: int, k: int, g: Poly, d: Poly):
+        if not d.is_monic or d.degree < 1:
             raise ValueError("modulus must be monic of degree >= 1")
-        if self.n < 0 or self.k < 0:
+        if n < 0 or k < 0:
             raise ValueError("n and k must be nonnegative")
-        if self.g.field.key != self.d.field.key:
+        if g.field.key != d.field.key:
             raise ValueError("g and d must share a field")
-        if poly_gcd(self.g, self.d).degree != 0:
+        if poly_gcd(g, d).degree != 0:
             raise ValueError("g is not coprime to the modulus")
+        return super().__new__(cls, n, k, g, d)
 
 
-@dataclass(frozen=True)
-class IntervalQuery:
+class IntervalQuery(namedtuple("IntervalQuery", "n k g h")):
     """Interval query: monic center g of degree n, radius degree h."""
 
-    n: int
-    k: int
-    g: Poly
-    h: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.g.is_monic or self.g.degree != self.n:
+    def __new__(cls, n: int, k: int, g: Poly, h: int):
+        if not g.is_monic or g.degree != n:
             raise ValueError("g must be monic of degree n")
-        if self.k < 0:
+        if k < 0:
             raise ValueError("k must be nonnegative")
-        if not 0 <= self.h <= self.n - 1:
+        if not 0 <= h <= n - 1:
             raise ValueError("h must satisfy 0 <= h <= n - 1")
+        return super().__new__(cls, n, k, g, h)
 
 
 class GroupSeries:

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
@@ -76,12 +76,10 @@ def ln_exact(x) -> float:
     return math.log(x)
 
 
-@dataclass(frozen=True)
-class Magnitude:
+class Magnitude(namedtuple("Magnitude", "sign ln_abs")):
     """Signed quantity stored as (sign, natural log of absolute value)."""
 
-    sign: int
-    ln_abs: float
+    __slots__ = ()
 
     @classmethod
     def zero(cls) -> "Magnitude":
@@ -151,21 +149,19 @@ def ratio_to_main(value, main: Magnitude) -> float:
     return math.exp(ln_exact(value) - main.ln_abs)
 
 
-@dataclass(frozen=True)
-class AnalyticConfig:
+class AnalyticConfig(namedtuple("AnalyticConfig", "A D tail_tol")):
     """Uniformity bound, optional truncation depth, certified tail tolerance."""
 
-    A: float = 2.0
-    D: int | None = None
-    tail_tol: float = 1e-12
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.A > 1:
+    def __new__(cls, A: float = 2.0, D: int | None = None, tail_tol: float = 1e-12):
+        if not A > 1:
             raise ValueError("A must exceed 1")
-        if self.D is not None and self.D < 1:
+        if D is not None and D < 1:
             raise ValueError("D must be at least 1")
-        if not self.tail_tol > 0:
+        if not tail_tol > 0:
             raise ValueError("tail_tol must be positive")
+        return super().__new__(cls, A, D, tail_tol)
 
 
 DEFAULT_CONFIG = AnalyticConfig()

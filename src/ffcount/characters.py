@@ -35,8 +35,8 @@ Representation conventions used throughout this module:
   raised to sum_i e_i t_i E/n_i, a pairing symmetric in e and t.
   Values stay exact: integers modulo the group exponent E, or residues
   mod a prime P = 1 (mod E), where zeta_E maps to a fixed element of
-  exact order E.  Exact zero tests for sums of roots of unity reduce the
-  integer count polynomial modulo the E-th cyclotomic polynomial, so
+  exact order E.  Exact zero tests for sums of roots of unity ask whether
+  the E-th cyclotomic polynomial divides the integer count polynomial, so
   orthogonality checks carry no float tolerance at all.
 * L-polynomial coefficients are indexed from degree 0 with c_0 = 1 (the
   single degree-0 monic, value 1 under every character); the coefficient
@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from operator import add, mul, sub
 
@@ -89,7 +89,11 @@ L_COEFF_NOTE = "coefficients indexed from degree 0; constant coefficient is 1"
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
-    """Integer coefficients of the n-th cyclotomic polynomial, ascending."""
+    """Integer coefficients of the n-th cyclotomic polynomial, ascending.
+
+    The dense reduction modulo this polynomial is the test oracle of
+    root_unity_sum_is_zero.
+    """
     if n < 1:
         raise ValueError("n must be positive")
     # (x^n - 1) divided by the product of lower cyclotomics, exactly
@@ -114,20 +118,35 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
 def root_unity_sum_is_zero(counts, order: int) -> bool:
     """Exact test: does sum of counts[e] * zeta^e vanish, zeta = e^(2pi i/order)?
 
-    Reduces the integer polynomial modulo the order-th cyclotomic polynomial;
-    the sum is zero exactly when the remainder is the zero polynomial.
+    The sum vanishes exactly when Phi_order divides the count polynomial C,
+    folded modulo x^order - 1.  With r the radical of order and t = order/r,
+    Phi_order(x) = Phi_r(x^t) and Phi_r = prod over d | r of
+    (x^d - 1)^mu(r/d), so Phi_order divides C exactly when the binomials
+    x^(dt) - 1 with mu = +1 divide C times those with mu = -1.  x^s - 1
+    divides a polynomial exactly when each of its residue classes of
+    exponents mod s sums to zero, and the quotient's coefficients are the
+    suffix sums of those classes.  Each step costs O(order), so the test
+    is linear in order for a fixed number of prime factors.
     """
-    rem = [0] * order
+    poly = [0] * order
     for e, c in enumerate(counts):
-        rem[e % order] += c
-    cyc = cyclotomic_polynomial(order)
-    deg = len(cyc) - 1
-    for i in range(order - 1, deg - 1, -1):
-        c = rem[i]
-        if c:
-            for j, dc in enumerate(cyc):
-                rem[i - deg + j] -= c * dc
-    return all(v == 0 for v in rem[:deg])
+        poly[e % order] += c
+    primes = list(_int_factorization(order))
+    t = order // math.prod(primes)
+    binomials = [(t, (-1) ** len(primes))]  # (d t, mu(r/d)) for each d | r
+    for p in primes:
+        binomials += [(s * p, -mu) for s, mu in binomials]
+    for s, mu in binomials:
+        if mu < 0:
+            poly = [a - b for a, b in zip([0] * s + poly, poly + [0] * s)]
+    for s, mu in binomials:
+        if mu > 0:
+            for i in range(len(poly) - s - 1, -1, -1):
+                poly[i] += poly[i + s]
+            if any(poly[:s]):
+                return False
+            del poly[:s]
+    return True
 
 
 def _power(mul, identity, x, t: int):
@@ -492,15 +511,12 @@ def _find_roots(coeffs: list[complex]) -> tuple[tuple[complex, ...], float]:
     return tuple(xs), residual
 
 
-@dataclass(frozen=True)
-class LPoly:
-    """Dirichlet L-polynomial data for a non-principal character."""
+class LPoly(namedtuple("LPoly", "exponents coeffs effective_degree inverse_roots residual")):
+    """Dirichlet L-polynomial data for a non-principal character: its exponent
+    vector, the complex coefficients c_0..c_(m-1), the effective degree, the
+    inverse roots and the root-finding residual."""
 
-    exponents: tuple[int, ...]
-    coeffs: tuple[complex, ...]
-    effective_degree: int
-    inverse_roots: tuple[complex, ...]
-    residual: float
+    __slots__ = ()
 
 
 def _l_coefficient_counts(group: UnitGroup, c: int) -> list[list[int]]:
@@ -519,11 +535,17 @@ def _l_coefficient_counts(group: UnitGroup, c: int) -> list[list[int]]:
     return rows
 
 
+@lru_cache(maxsize=None)
+def _unit_roots(E: int) -> tuple[complex, ...]:
+    """exp(2 pi i e / E) for e = 0..E-1, as _counts_to_complex weighs them."""
+    return tuple(cmath.exp(2j * math.pi * e / E) for e in range(E))
+
+
 def _counts_to_complex(counts: list[int], E: int) -> complex:
     acc = 0j
-    for e, c in enumerate(counts):
+    for c, z in zip(counts, _unit_roots(E)):
         if c:
-            acc += c * cmath.exp(2j * math.pi * e / E)
+            acc += c * z
     return acc
 
 
@@ -548,6 +570,12 @@ def l_polynomial(group: UnitGroup, c: int) -> LPoly:
     return LPoly(group.dlog(group._by_code[c]), coeffs, eff, roots, residual)
 
 
+def _check_tol(tol: float) -> None:
+    """Reject a weil tolerance outside 0 <= tol < inf; a NaN would pass every root."""
+    if not 0 <= tol < math.inf:
+        raise ValueError(f"tol must satisfy 0 <= tol < inf, got {tol!r}")
+
+
 def weil_check(group: UnitGroup, c: int, tol: float = 1e-6) -> dict:
     """Classify inverse-root moduli of L(T, chi) against {1, sqrt(q)}, chi of index c.
 
@@ -556,8 +584,7 @@ def weil_check(group: UnitGroup, c: int, tol: float = 1e-6) -> dict:
     degree (effective degree below m-1) is reported as degree_deficit
     rather than as zero roots.
     """
-    if not 0 <= tol < math.inf:
-        raise ValueError(f"tol must satisfy 0 <= tol < inf, got {tol!r}")
+    _check_tol(tol)
     lp = l_polynomial(group, c)
     rt_q = math.sqrt(group.q)
     roots = []

@@ -32,13 +32,11 @@ selftest check failed).
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import os
 import sys
-import tempfile
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 
 from .algebra import FieldSpec, Poly, _is_prime_mr, default_modulus, parse_poly
@@ -66,7 +64,7 @@ from .asym import (
     ratio_to_main,
     thm1_normalized_error,
 )
-from .characters import L_COEFF_NOTE, unit_group, weil_check
+from .characters import L_COEFF_NOTE, _check_tol, unit_group, weil_check
 from .errors import (
     BudgetExceededError,
     ConsistencyError,
@@ -91,12 +89,10 @@ class UsageError(Exception):
     """Bad flag combinations or malformed argument values; exit code 2."""
 
 
-@dataclass
-class Report:
-    payload: dict
-    header: tuple
-    rows: list = field(default_factory=list)
-    exit_code: int = 0
+class Report(namedtuple("Report", "payload header rows exit_code", defaults=((), 0))):
+    """A command's result: the JSON payload, the CSV header and rows, the exit code."""
+
+    __slots__ = ()
 
 
 def _parse_range(text: str, what: str) -> list[int]:
@@ -195,6 +191,8 @@ def _cell(v) -> str:
 def _render(report: Report, fmt: str) -> str:
     if fmt == "json":
         return json.dumps(report.payload, indent=2) + "\n"
+    import csv  # only CSV reports pay for the import
+
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(report.header)
@@ -207,6 +205,8 @@ def _emit(text: str, out_path: str | None) -> None:
     if out_path is None:
         sys.stdout.write(text)
         return
+    import tempfile  # only --out pays for the import
+
     target = os.path.abspath(out_path)
     tmp = None
     try:
@@ -366,6 +366,7 @@ def cmd_interval(args) -> Report:
 def cmd_weil(args) -> Report:
     fld = _field_from_args(args)
     d = _poly_arg(fld, args.d, "d")
+    _check_tol(args.tol)  # also on an order-1 group, which has no character to check
     group = unit_group(d)
     reports = []
     rows = []

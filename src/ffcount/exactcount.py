@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
@@ -331,11 +331,11 @@ def cauchy_extract(series: BiSeries, n: int, k: int, r: float | None = None, M: 
 # -- distribution of the factor-count statistic -----------------------------------
 
 
-@dataclass(frozen=True)
-class OmegaMoments:
-    mean: Fraction
-    variance: Fraction
-    histogram: dict[int, int]
+class OmegaMoments(namedtuple("OmegaMoments", "mean variance histogram")):
+    """Exact mean and variance (Fractions) of the factor count, and its
+    histogram as a dict from factor count to number of monics."""
+
+    __slots__ = ()
 
 
 def omega_moments(series: BiSeries, n: int) -> OmegaMoments:

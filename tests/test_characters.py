@@ -302,6 +302,41 @@ def test_root_unity_sum_zero_test():
     assert root_unity_sum_is_zero([1, 1, 1, 1, 0, 1], 4) is False
 
 
+def _dense_zero_test(counts, order):
+    """The reduction modulo the dense cyclotomic polynomial, as the oracle."""
+    rem = [0] * order
+    for e, c in enumerate(counts):
+        rem[e % order] += c
+    cyc = cyclotomic_polynomial(order)
+    deg = len(cyc) - 1
+    for i in range(order - 1, deg - 1, -1):
+        c = rem[i]
+        if c:
+            for j, dc in enumerate(cyc):
+                rem[i - deg + j] -= c * dc
+    return not any(rem[:deg])
+
+
+@pytest.mark.parametrize("order", [*range(1, 65), 242, 511, 2047, 4092])
+def test_sparse_zero_test_matches_the_dense_reduction(order):
+    rng = random.Random(order)
+    cyc = cyclotomic_polynomial(order)
+    for _ in range(2):
+        # random counts, some longer than the order so that they fold
+        counts = [rng.randrange(-2, 3) * rng.randrange(2) for _ in range(order + rng.randrange(3))]
+        assert root_unity_sum_is_zero(counts, order) is _dense_zero_test(counts, order)
+        # a constructed zero: a few shifted multiples of Phi_order, folded
+        zero = [0] * (2 * order)
+        for _ in range(3):
+            shift, scale = rng.randrange(order), rng.randrange(1, 10**12)
+            for j, c in enumerate(cyc):
+                zero[shift + j] += scale * c
+        assert root_unity_sum_is_zero(zero, order) is _dense_zero_test(zero, order) is True
+        # one more root of unity makes it nonzero
+        zero[rng.randrange(2 * order)] += 1
+        assert root_unity_sum_is_zero(zero, order) is _dense_zero_test(zero, order) is False
+
+
 # -- L-polynomials ---------------------------------------------------------------
 
 

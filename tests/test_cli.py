@@ -79,6 +79,18 @@ def test_every_small_query_exits_0_with_agreeing_paths(capsys):
     assert failed == []
 
 
+def test_cli_import_loads_the_layers_and_no_boilerplate_modules():
+    # every command starts a fresh interpreter and pays for what this loads
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    code = "import sys; sys.path.insert(0, sys.argv[1]); import ffcount.cli; print(*sys.modules)"
+    proc = subprocess.run([sys.executable, "-S", "-c", code, src],
+                          capture_output=True, text=True, timeout=60, check=True)
+    loaded = set(proc.stdout.split())
+    assert loaded.isdisjoint({"dataclasses", "inspect", "typing", "tempfile", "csv"})
+    layers = ("algebra", "apinterval", "asym", "characters", "exactcount")
+    assert {f"ffcount.{m}" for m in layers} <= loaded
+
+
 def test_unknown_flag_exits_2(capsys):
     code, _, _ = run_cli(capsys, ["count", "--q", "2", "--n", "3", "--bogus"])
     assert code == 2
@@ -287,11 +299,13 @@ def test_weil_example(capsys):
 
 
 def test_weil_tol_outside_range_exits_2(capsys):
-    # every comparison with NaN is false, so a NaN tol would pass every root
-    for tol in ("nan", "inf", "-1"):
-        code, out, err = run_cli(capsys, ["weil", "--q", "3", "--d", "1,0,1", "--tol", tol])
-        assert (code, out) == (2, ""), tol
-        assert err.startswith("ffcount: tol must satisfy")
+    # every comparison with NaN is false, so a NaN tol would pass every root;
+    # X + 1 over F_2 has a unit group of order 1 and so no character to check
+    for q, d in (("3", "1,0,1"), ("2", "1,1")):
+        for tol in ("nan", "inf", "-1"):
+            code, out, err = run_cli(capsys, ["weil", "--q", q, "--d", d, "--tol", tol])
+            assert (code, out) == (2, ""), (d, tol)
+            assert err.startswith("ffcount: tol must satisfy")
 
 
 def test_ap_schema_and_value(capsys):
