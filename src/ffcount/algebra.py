@@ -91,44 +91,46 @@ def _is_prime_mr(n: int) -> bool:
     return True
 
 
+def _field_modulus(p: int, e: int, modulus, limit: int | None = None):
+    """The modulus of F_(p^e) reduced mod p, None for e = 1, once p is
+    checked prime, e >= 1 and the modulus monic irreducible of degree e
+    over F_p.  With a limit, an extension field of more elements is refused
+    before its modulus is read."""
+    if not _is_prime_mr(p):
+        raise ValueError(f"p = {p} is not prime")
+    if e < 1:
+        raise ValueError("extension degree e must be >= 1")
+    if e == 1:
+        if modulus is not None:
+            raise ValueError("modulus is only meaningful for e > 1")
+        return None
+    if limit is not None and p**e > limit:
+        raise BudgetExceededError(
+            f"extension field size {p**e} exceeds the table limit {limit}")
+    if modulus is None:
+        raise ValueError("an explicit irreducible modulus is required for e > 1")
+    modulus = tuple(int(c) % p for c in modulus)
+    while modulus and modulus[-1] == 0:
+        modulus = modulus[:-1]
+    if len(modulus) != e + 1:
+        raise ValueError(f"modulus must have degree e = {e}")
+    if modulus[-1] != 1:
+        raise ValueError("modulus must be monic")
+    if not is_irreducible(Poly(FieldSpec(p), modulus)):
+        raise ValueError("modulus is not irreducible over F_p")
+    return modulus
+
+
 class FieldSpec:
     """A finite field F_{p^e} with canonical integer element encoding."""
 
     __slots__ = ("p", "e", "q", "modulus", "_mul_t", "_inv_t", "_neg_t")
 
     def __init__(self, p: int, e: int = 1, modulus: tuple[int, ...] | None = None):
-        if not _is_prime_mr(p):
-            raise ValueError(f"p = {p} is not prime")
-        if e < 1:
-            raise ValueError("extension degree e must be >= 1")
-        self.p = p
-        self.e = e
-        self.q = p**e
-        if e == 1:
-            if modulus is not None:
-                raise ValueError("modulus is only meaningful for e > 1")
-            self.modulus = None
-            self._mul_t = None
-            self._inv_t = None
-            self._neg_t = None
-        else:
-            if self.q > _EXTENSION_Q_LIMIT:
-                raise BudgetExceededError(
-                    f"extension field size {self.q} exceeds the table limit {_EXTENSION_Q_LIMIT}"
-                )
-            if modulus is None:
-                raise ValueError("an explicit irreducible modulus is required for e > 1")
-            modulus = tuple(int(c) % p for c in modulus)
-            while modulus and modulus[-1] == 0:
-                modulus = modulus[:-1]
-            if len(modulus) != e + 1:
-                raise ValueError(f"modulus must have degree e = {e}")
-            if modulus[-1] != 1:
-                raise ValueError("modulus must be monic")
-            base = FieldSpec(p)
-            if not is_irreducible(Poly(base, modulus)):
-                raise ValueError("modulus is not irreducible over F_p")
-            self.modulus = modulus
+        self.modulus = _field_modulus(p, e, modulus, _EXTENSION_Q_LIMIT)
+        self.p, self.e, self.q = p, e, p**e
+        self._mul_t = self._inv_t = self._neg_t = None
+        if e > 1:
             self._build_tables()
 
     @property

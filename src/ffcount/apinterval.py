@@ -8,10 +8,10 @@ Representation conventions used throughout this module:
   product: count(identity, 0, 0) = 1.
 * Tables are built by _class_product, the class kernel, on the unit
   group mod d as one big integer: the count of T^n z^k in class v sits in
-  a slot of slot_bits(q, N) bits at bit n B + code(v) W + k slot, with
-  W = (K+1) slot, B = |G| W and code(v) the mixed-radix position of v's
-  dlog vector; a GroupSeries keeps its degree rows.  Every slot value is a
-  genuine count bounded by q^N, so no slot ever carries into its neighbor.
+  a slot of slot_bits(q, N) bits at bit n B + v W + k slot, with
+  W = (K+1) slot and B = |G| W, v the index of the class; a GroupSeries
+  keeps its degree rows.  Every slot value is a genuine count bounded by
+  q^N, so no slot ever carries into its neighbor.
 * The kernel multiplies out the product over irreducibles p not dividing
   d of (1 + z T^deg(p) e_[p]), e_[p] the basis vector of the class of p,
   class by class with exact binomial weights, since irreducibles of equal
@@ -125,9 +125,11 @@ class GroupSeries:
             if k > max_omega(self.group.q, n):
                 return 0
             raise ValueError(f"k = {k} exceeds the truncation K = {self.K}")
-        idx = g if isinstance(g, int) else self.group.index_of(g)
-        code = self.group.code[idx]
-        return (self.rows[n] >> (code * (self.K + 1) + k) * self.slot) & ((1 << self.slot) - 1)
+        if not isinstance(g, int):
+            g = self.group.index_of(g)
+        elif not 0 <= g < self.group.order:
+            raise ValueError(f"class index {g} is not in 0..{self.group.order - 1}")
+        return (self.rows[n] >> (g * (self.K + 1) + k) * self.slot) & ((1 << self.slot) - 1)
 
 
 def ap_series(d: Poly, N: int, K: int | None = None, method: str = "auto",
@@ -203,7 +205,7 @@ def _class_product(group, classes, N: int, K: int, slot: int) -> int:
         for c, cnt in classes.get(dp, {}).items():
             by_class.setdefault(c, []).append((dp, cnt))
     half = N // 2
-    Q = 1  # T^0 z^0 in the identity class, whose code is 0
+    Q = 1  # T^0 z^0 in the identity class, index 0
     for c, factors in sorted(by_class.items()):
         rotation = None  # drop one class's masks before building the next
         for dp, cnt in factors:

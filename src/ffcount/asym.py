@@ -155,8 +155,10 @@ class AnalyticConfig(namedtuple("AnalyticConfig", "A D tail_tol")):
     __slots__ = ()
 
     def __new__(cls, A: float = 2.0, D: int | None = None, tail_tol: float = 1e-12):
-        if not A > 1:
-            raise ValueError("A must exceed 1")
+        # the automatic depth grows like 2 log_q A, and past A ~ 1e147 the
+        # irreducible count at that depth overflows a double over F_2
+        if not 1 < A <= 1e100:
+            raise ValueError(f"A must satisfy 1 < A <= 1e100, got {A!r}")
         if D is not None and D < 1:
             raise ValueError("D must be at least 1")
         if not tail_tol > 0:

@@ -10,29 +10,28 @@ behind apinterval's tables, so the two paths check each other.
 Representation conventions used throughout this module:
 
 * A unit group element is a canonical representative: the residue of degree
-  < deg(d) coprime to the modulus d, stored as a Poly and addressed by its
-  dense index in enumeration order.  Elements need not be monic; constants
-  other than 0 are units.
+  < deg(d) coprime to the modulus d, stored as a Poly.  Elements need not
+  be monic; constants other than 0 are units.
 * The group structure is a basis: a list of (generator, order) pairs whose
-  cyclic spans form an internal direct product.  It is found by picking a
-  maximal-order element, passing to the quotient, recursing, and lifting
-  each quotient generator v by a power of the chosen u so its order is
-  preserved (v^m lands in <u> as u^t with m | t, so v u^(-t/m) works).
-  Construction validates itself by checking g_i^(n_i) = 1 for every
-  generator and regenerating all elements from the basis, which doubles
-  as the discrete-log table.
-* Group arithmetic runs on indices.  Once the basis is validated, mul,
-  pow and element_order add, scale or inspect discrete-log vectors
-  modulo the basis orders and look the result up by its mixed-radix code
-  (the position of the vector in lexicographic order); translation gives
-  v -> v * u for all v at once as one shift of every vector.  Polynomial
-  multiply-and-reduce runs only during construction, before the table
-  exists.
+  cyclic spans form an internal direct product.  It is found over the
+  residues in enumeration order by picking a maximal-order element,
+  passing to the quotient, recursing, and lifting each quotient generator
+  v by a power of the chosen u so its order is preserved (v^m lands in
+  <u> as u^t with m | t, so v u^(-t/m) works).  Construction validates
+  itself by checking g_i^(n_i) = 1 for every generator and regenerating
+  all elements from the basis, which doubles as the discrete-log table.
+* The elements are then renumbered once: an element's index is the
+  mixed-radix code of its dlog vector (its position in lexicographic
+  order), so the identity is 0.  Group arithmetic runs on indices: mul,
+  element_order, power_map (x -> x^r) and translation (v -> v * u) add,
+  scale or inspect dlog vectors modulo the basis orders, the last two for
+  all indices at once.  Polynomial multiply-and-reduce runs only during
+  construction.
 * A character is named by its index c, the mixed-radix code of its
   exponent vector e against the basis, so characters and elements share
-  one order: c's vector is the dlog of the element whose code is c, and
-  c = 0 is principal.  Its value on the element with dlog t is zeta_E
-  raised to sum_i e_i t_i E/n_i, a pairing symmetric in e and t.
+  one numbering: c's vector is the dlog of element c, c = 0 is principal,
+  and power_map(r) sends chi to chi^r too.  Its value on the element with
+  dlog t is zeta_E raised to sum_i e_i t_i E/n_i, symmetric in e and t.
   Values stay exact: integers modulo the group exponent E, or residues
   mod a prime P = 1 (mod E), where zeta_E maps to a fixed element of
   exact order E.  Exact zero tests for sums of roots of unity ask whether
@@ -187,20 +186,17 @@ class UnitGroup:
         assert len(elems) == self.order
         self.elements: tuple[Poly, ...] = tuple(elems)
         self._index = index
+        self._build_structure()
         # monic_residues[j]: indices of the monic units of degree j < m,
         # which are exactly the monic polynomials of degree j coprime to d
         by_degree: list[list[int]] = [[] for _ in range(self.m)]
-        for i, f in enumerate(elems):
+        for i, f in enumerate(self.elements):
             if f.is_monic:
                 by_degree[f.degree].append(i)
         self.monic_residues = tuple(tuple(r) for r in by_degree)
-        self.identity_index = index[(1,)]
-        self.structure: tuple[tuple[Poly, int], ...] = ()
-        self._build_structure()
-        self.exponent = 1
-        for _, n in self.structure:
-            self.exponent = math.lcm(self.exponent, n)
+        self.exponent = math.lcm(*self._orders)
         self._class_counts: dict[int, dict[int, dict[int, int]]] = {}
+        self._power_maps: dict[int, list[int]] = {}
 
     def _residues(self):
         # the monic degree-m expansion of each code without its leading 1
@@ -221,13 +217,18 @@ class UnitGroup:
         code = 0
         for a, b, n in zip(self._dlog[i], self._dlog[j], self._orders):
             code = code * n + (a + b) % n
-        return self._by_code[code]
+        return code
 
-    def pow(self, i: int, t: int) -> int:
-        code = 0
-        for a, n in zip(self._dlog[i], self._orders):
-            code = code * n + a * t % n
-        return self._by_code[code]
+    def power_map(self, r: int) -> list[int]:
+        """The map x -> x^r on all indices, and so chi -> chi^r on characters."""
+        r %= self.exponent
+        out = self._power_maps.get(r)
+        if out is None:
+            out = [0]
+            for n in self._orders:
+                out = [c * n + e * r % n for c in out for e in range(n)]
+            self._power_maps[r] = out
+        return out
 
     def element_order(self, i: int) -> int:
         e = 1
@@ -241,8 +242,7 @@ class UnitGroup:
         for a, n in zip(self._dlog[i], self._orders):
             digits = [(s + a) % n for s in range(n)]
             shifted = [c * n + s for c in shifted for s in digits]
-        by_code = self._by_code
-        return [by_code[shifted[c]] for c in self.code]
+        return shifted
 
     def dlog(self, i: int) -> tuple[int, ...]:
         """Exponent vector of element i against the basis."""
@@ -253,10 +253,11 @@ class UnitGroup:
         return self._index[r.coeffs]
 
     def _build_structure(self):
-        one = self.identity_index
+        one = self._index[(1,)]
         basis = self._extract_basis(list(range(self.order)), self._poly_mul,
                                     one, self.order)
-        self.structure = tuple((self.elements[i], n) for i, n in basis)
+        self.structure: tuple[tuple[Poly, int], ...] = tuple(
+            (self.elements[i], n) for i, n in basis)
         # index arithmetic adds dlog vectors modulo the basis orders, which
         # is sound only if g_i^(n_i) = 1 for every generator and the basis
         # regenerates the group bijectively; check both with polynomials
@@ -264,10 +265,8 @@ class UnitGroup:
             if _power(self._poly_mul, one, gi, n) != one:
                 raise ConsistencyError(
                     f"unit group basis generator does not have order {n}")
-        # regenerate the whole group from the basis; this validates the
-        # direct-product property and fills the discrete-log table, and the
-        # position of an element in this lexicographic order of exponent
-        # vectors is the mixed-radix code that index arithmetic looks up
+        # regenerate the whole group from the basis, in lexicographic order
+        # of exponent vectors; this validates the direct-product property
         combos = [(one, ())]
         for gi, n in basis:
             nxt = []
@@ -278,19 +277,16 @@ class UnitGroup:
                     if t < n - 1:
                         cur = self._poly_mul(cur, gi)
             combos = nxt
-        dlog: list = [None] * self.order
-        code = [0] * self.order
-        for c, (idx, vec) in enumerate(combos):
-            if dlog[idx] is not None:
-                raise ConsistencyError("unit group basis is not independent")
-            dlog[idx] = vec
-            code[idx] = c
+        if len({idx for idx, _ in combos}) != len(combos):
+            raise ConsistencyError("unit group basis is not independent")
         if len(combos) != self.order:
             raise ConsistencyError("unit group basis does not span the group")
+        # renumber once: index c is now the element whose dlog digits spell
+        # c in mixed radix, so the identity is 0 and arithmetic needs no table
+        self.elements = tuple(self.elements[idx] for idx, _ in combos)
+        self._index = {f.coeffs: c for c, f in enumerate(self.elements)}
+        self._dlog = [vec for _, vec in combos]
         self._orders = tuple(n for _, n in basis)
-        self._by_code = [idx for idx, _ in combos]
-        self.code = code  # code[i]: the mixed-radix position of element i
-        self._dlog = dlog
 
     @staticmethod
     def _extract_basis(elements, mul, identity, size):
@@ -410,7 +406,6 @@ def _newton_class_counts(group: UnitGroup, N: int):
     w: list[list[int] | None] = [None] * (N + 1)
     wsum = [0] * (N + 1)
     cvec: list[list[int] | None] = [None] * (N + 1)
-    powmaps: dict[int, list[int]] = {}
     counts: dict[int, dict[int, int]] = {}
     for n in range(1, N + 1):
         if n >= m:
@@ -447,10 +442,7 @@ def _newton_class_counts(group: UnitGroup, N: int):
                 continue
             t = n // j
             ct = cvec[t]
-            pm = powmaps.get(j)
-            if pm is None:
-                pm = [group.pow(x, j) for x in range(order)]
-                powmaps[j] = pm
+            pm = group.power_map(j)
             for x in range(order):
                 if ct[x]:
                     sub[pm[x]] += t * ct[x]
@@ -524,13 +516,12 @@ def _l_coefficient_counts(group: UnitGroup, c: int) -> list[list[int]]:
 
     Monics not coprime to d have value 0, so only the monic residues count.
     """
-    values = _char_exponents(group, group.dlog(group._by_code[c]))
-    code = group.code
+    values = _char_exponents(group, group.dlog(c))
     rows = []
     for residues in group.monic_residues:
         counts = [0] * group.exponent
         for idx in residues:
-            counts[values[code[idx]]] += 1
+            counts[values[idx]] += 1
         rows.append(counts)
     return rows
 
@@ -567,7 +558,7 @@ def l_polynomial(group: UnitGroup, c: int) -> LPoly:
     roots, residual = _find_roots(rev)
     if residual > 1e-10:
         raise RootFindingError("inverse-root iteration stalled", residual)
-    return LPoly(group.dlog(group._by_code[c]), coeffs, eff, roots, residual)
+    return LPoly(group.dlog(c), coeffs, eff, roots, residual)
 
 
 def _check_tol(tol: float) -> None:
@@ -633,20 +624,12 @@ def root_of_unity(E: int, P: int) -> int:
 def _char_exponents(group: UnitGroup, vec) -> list[int]:
     """Value exponents, modulo E, of the element with dlog vector vec under
     every character, by index; by symmetry, with vec a character's
-    exponent vector, that character's value exponents by element code."""
+    exponent vector, that character's value exponents by element index."""
     E = group.exponent
     out = [0]
     for t, (_, n) in zip(vec, group.structure):
         step = [e * t * (E // n) % E for e in range(n)]
         out = [(v + s) % E for v in out for s in step]
-    return out
-
-
-def _char_power_map(group: UnitGroup, r: int) -> list[int]:
-    """Index of chi^r for every character index chi."""
-    out = [0]
-    for _, n in group.structure:
-        out = [c * n + e * r % n for c in out for e in range(n)]
     return out
 
 
@@ -656,8 +639,8 @@ class CharacterSums:
     P is a prime with P = 1 (mod E), E the group exponent, and
     powers[e] = w^e for the root_of_unity w of order E mod P; sending
     zeta_E to w maps Z[zeta_E] onto F_P, so every entry is the image of an
-    exact algebraic integer.  A character is addressed by its index c, the
-    mixed-radix code of its exponent vector.  weights[t][c] = t * P_chi(t) mod P,
+    exact algebraic integer.  A character is addressed by its index c, as
+    elements are.  weights[t][c] = t * P_chi(t) mod P,
     where P_chi(t) sums chi over the monic irreducibles of degree t not
     dividing d.  It is built without the irreducibles or class counts:
 
@@ -671,7 +654,7 @@ class CharacterSums:
     4. t P_chi(t) = psi_chi(t) - sum over e | t, e < t of e P_(chi^(t/e))(e).
     """
 
-    __slots__ = ("group", "N", "P", "powers", "inverses", "weights", "_maps")
+    __slots__ = ("group", "N", "P", "powers", "inverses", "weights")
 
     def __init__(self, group: UnitGroup, N: int, P: int):
         E, order = group.exponent, group.order
@@ -682,7 +665,6 @@ class CharacterSums:
             powers.append(powers[-1] * root % P)
         self.powers = powers
         self.inverses = [0] + [pow(n, -1, P) for n in range(1, N + 1)]
-        self._maps: dict[int, list[int]] = {}
         J = min(group.m - 1, N)
         coeffs: list = [None]
         for j in range(1, J + 1):
@@ -709,17 +691,9 @@ class CharacterSums:
         for t in range(1, N + 1):
             acc = psi[t]
             for e in divisors[t]:
-                acc = list(map(sub, acc, map(weights[e].__getitem__, self.power_map(t // e))))
+                acc = list(map(sub, acc, map(weights[e].__getitem__, group.power_map(t // e))))
             weights.append([x % P for x in acc])
         self.weights = weights
-
-    def power_map(self, r: int) -> list[int]:
-        """The index of chi^r for every character index."""
-        r %= self.group.exponent
-        pm = self._maps.get(r)
-        if pm is None:
-            pm = self._maps[r] = _char_power_map(self.group, r)
-        return pm
 
     def conjugate_values(self, vec) -> list[int]:
         """conj(chi)(u) mod P for every character, u given by its dlog vector."""
@@ -740,7 +714,7 @@ def twisted_series(c: int, sums: CharacterSums, K: int):
     N, P, inverses = sums.N, sums.P, sums.inverses
     weights = [None]
     for m in range(1, K + 1):
-        cm = sums.power_map(m)[c]
+        cm = sums.group.power_map(m)[c]
         a = [0] + [w[cm] for w in sums.weights[1:N // m + 1]]
         weights.append(a if m & 1 else [-x % P for x in a])
     slot = 2 * P.bit_length() + (N * K).bit_length()

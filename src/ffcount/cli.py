@@ -39,7 +39,7 @@ import sys
 from collections import namedtuple
 from fractions import Fraction
 
-from .algebra import FieldSpec, Poly, _is_prime_mr, default_modulus, parse_poly
+from .algebra import FieldSpec, Poly, _field_modulus, _is_prime_mr, default_modulus, parse_poly
 from .apinterval import (
     APQuery,
     IntervalQuery,
@@ -147,7 +147,9 @@ def _prime_power(q: int) -> tuple[int, int]:
     raise UsageError(f"--q {q} is not a prime power")
 
 
-def _field_from_args(args, required: bool = True) -> FieldSpec | None:
+def _field_args(args, required: bool = True) -> tuple | None:
+    """(p, e, modulus) from the field flags, the modulus defaulted for
+    e > 1; None when no field is given and none is required."""
     mod = None
     if args.q is not None:
         if (args.p, args.e, args.modulus) != (None, None, None):
@@ -168,7 +170,18 @@ def _field_from_args(args, required: bool = True) -> FieldSpec | None:
         return None
     if mod is None and e != 1:
         mod = default_modulus(p, e)
-    return FieldSpec(p, e, mod)
+    return p, e, mod
+
+
+def _q_from_args(args, required: bool = True) -> int | None:
+    """q for the commands whose recurrences need only the integer: the field
+    flags are checked as a FieldSpec checks them, but no field tables are
+    built, so their size limit does not apply."""
+    spec = _field_args(args, required)
+    if spec is None:
+        return None
+    _field_modulus(*spec)
+    return spec[0] ** spec[1]
 
 
 def _poly_arg(fld: FieldSpec, text: str, what: str) -> Poly:
@@ -222,8 +235,7 @@ def _emit(text: str, out_path: str | None) -> None:
 
 
 def cmd_count(args) -> Report:
-    fld = _field_from_args(args)
-    q = fld.q
+    q = _q_from_args(args)
     nrange = _parse_range(args.n, "--n")
     if min(nrange) < 0:
         raise UsageError("--n: degrees must be nonnegative")
@@ -251,8 +263,7 @@ def cmd_count(args) -> Report:
 
 
 def cmd_asym(args) -> Report:
-    fld = _field_from_args(args)
-    q = fld.q
+    q = _q_from_args(args)
     cfg = AnalyticConfig(A=args.A)
     nrange = _parse_range(args.n, "--n")
     krange = _parse_range(args.k, "--k")
@@ -271,8 +282,7 @@ def cmd_asym(args) -> Report:
 
 
 def cmd_compare(args) -> Report:
-    fld = _field_from_args(args)
-    q = fld.q
+    q = _q_from_args(args)
     cfg = AnalyticConfig(A=args.A)
     nrange = _parse_range(args.n, "--n")
     krange = _parse_range(args.k, "--k")
@@ -332,7 +342,7 @@ def _dual_path_report(label, qy, exact, chars, term, payload, header, row) -> Re
 
 
 def cmd_ap(args) -> Report:
-    fld = _field_from_args(args)
+    fld = FieldSpec(*_field_args(args))
     q = fld.q
     cfg = AnalyticConfig(A=args.A)
     d = _poly_arg(fld, args.d, "d")
@@ -348,7 +358,7 @@ def cmd_ap(args) -> Report:
 
 
 def cmd_interval(args) -> Report:
-    fld = _field_from_args(args)
+    fld = FieldSpec(*_field_args(args))
     q = fld.q
     cfg = AnalyticConfig(A=args.A)
     g = _poly_arg(fld, args.g, "g")
@@ -364,7 +374,7 @@ def cmd_interval(args) -> Report:
 
 
 def cmd_weil(args) -> Report:
-    fld = _field_from_args(args)
+    fld = FieldSpec(*_field_args(args))
     d = _poly_arg(fld, args.d, "d")
     _check_tol(args.tol)  # also on an order-1 group, which has no character to check
     group = unit_group(d)
@@ -399,8 +409,7 @@ def cmd_weil(args) -> Report:
 
 
 def cmd_omega_stats(args) -> Report:
-    fld = _field_from_args(args)
-    q = fld.q
+    q = _q_from_args(args)
     nrange = _parse_range(args.n, "--n")
     if min(nrange) < 1:
         raise UsageError("--n: omega-stats needs n >= 1")
@@ -427,7 +436,7 @@ def cmd_omega_stats(args) -> Report:
 
 
 def cmd_qlimit(args) -> Report:
-    fld = _field_from_args(args, required=False)
+    q = _q_from_args(args, required=False)
     n, k = args.n, args.k
     s = qlimit_sum(n, k)
     payload = {
@@ -439,12 +448,12 @@ def cmd_qlimit(args) -> Report:
     }
     row = [n, k, float(s)]
     header = ["n", "k", "sum"]
-    if fld is not None:
-        m = qlimit_count(fld.q, n, k)
-        payload["q"] = fld.q
+    if q is not None:
+        m = qlimit_count(q, n, k)
+        payload["q"] = q
         payload["count_lnAbs"] = m.ln_abs
         header += ["q", "count_lnAbs"]
-        row += [fld.q, m.ln_abs]
+        row += [q, m.ln_abs]
     return Report(payload, tuple(header), [tuple(row)])
 
 

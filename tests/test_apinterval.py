@@ -168,6 +168,18 @@ def test_series_count_bounds():
         s.count(Poly.x(F2), 2, 1)  # not coprime
 
 
+def test_series_count_checks_an_integer_class():
+    # a class given by index must be one of 0..order-1; -1 must not wrap
+    # around to the last class, nor an index past the row read as zero
+    s = ap_series(_p(F3, "1,0,1"), 4, K=2)
+    assert s.group.order == 8
+    for c in range(8):
+        assert s.count(c, 3, 1) == s.count(s.group.elements[c], 3, 1)
+    for c in (-1, 8, 100):
+        with pytest.raises(ValueError, match="class index"):
+            s.count(c, 3, 1)
+
+
 # -- progression counts -----------------------------------------------------------
 
 
@@ -489,7 +501,7 @@ def _reference_class_rows(classes, N, K, slot, group):
     order = group.order
     mask = (1 << (K + 1) * slot) - 1
     rows = [[0] * (N + 1) for _ in range(order)]
-    rows[group.identity_index][0] = 1
+    rows[0][0] = 1
     for dp in range(1, N + 1):
         for c, cnt in sorted(classes.get(dp, {}).items()):
             jmax = min(N // dp, K)
@@ -497,7 +509,7 @@ def _reference_class_rows(classes, N, K, slot, group):
             for j in range(1, jmax + 1):
                 binom.append(binom[-1] * (cnt - j + 1) // j)
             # class v * c^(-j) feeds slot j of class v, from degree n - dp*j
-            step = group.translation(group.pow(c, -1))
+            step = group.translation(group.power_map(-1)[c])
             src = list(range(order))
             feeds = [[] for _ in range(order)]
             for j in range(1, jmax + 1):

@@ -117,15 +117,15 @@ def test_group_multiplication_and_inverse():
                 prod = (els[i] * els[j]) % g.d
                 assert els[g.mul(i, j)] == prod
                 assert els[shift[j]] == prod
-            assert (els[i] * els[g.pow(i, -1)]) % g.d == one
+            assert (els[i] * els[g.power_map(-1)[i]]) % g.d == one
             power, first_one = one, None
             for t in range(g.order + 2):
-                assert els[g.pow(i, t)] == power
+                assert els[g.power_map(t)[i]] == power
                 if t and power == one and first_one is None:
                     first_one = t
                 power = (power * els[i]) % g.d
             assert g.element_order(i) == first_one
-        assert g.pow(g.identity_index, 5) == g.identity_index
+        assert els[0] == one and g.power_map(5)[0] == 0
 
 
 def test_basis_with_wrong_generator_order_is_rejected(monkeypatch):
@@ -146,10 +146,65 @@ def test_dlog_regenerates_elements():
     g = unit_group(_p(F3, "0,2,1"))
     for idx in range(g.order):
         vec = g.dlog(idx)
-        acc = g.identity_index
+        acc = 0
         for (gen, _), t in zip(g.structure, vec):
-            acc = g.mul(acc, g.pow(g.index_of(gen), t))
+            acc = g.mul(acc, g.power_map(t)[g.index_of(gen)])
         assert acc == idx
+
+
+# X^m, prime powers, products of distinct and repeated factors, and F_4
+_NUMBERING_CASES = (
+    (F2, "0,0,0,0,1"), (F2, "0,0,0,0,0,1"), (F2, "1,1,1,1"), (F2, "0,0,1,1"),
+    (F2, "1,0,1,0,1"), (F3, "0,0,0,1"), (F3, "2,2,1,1"), (F3, "1,0,1"),
+    (F3, "0,2,0,1"), (F3, "1,0,2,0,1"), (F5, "0,0,1"), (F4, "1,0,1"),
+)
+
+# the basis is found over the residues in enumeration order, so it is the
+# same whatever numbering the indices use
+_PINNED_STRUCTURES = {
+    (2, "0,0,0,0,1"): [("1,1", 4), ("1,0,1,1", 2)],
+    (3, "0,2,0,1"): [("2", 2), ("1,0,1", 2), ("2,1,1", 2)],
+    (4, "1,0,1"): [("0/1,1/0", 6), ("0/0,1/0", 2)],
+}
+
+
+@pytest.mark.parametrize("fld,d_text", _NUMBERING_CASES)
+def test_an_element_index_is_the_mixed_radix_code_of_its_dlog(fld, d_text):
+    g = UnitGroup(_p(fld, d_text))
+    els, one = g.elements, Poly.one(fld)
+    orders = [n for _, n in g.structure]
+    pinned = _PINNED_STRUCTURES.get((fld.q, d_text))
+    if pinned is not None:
+        assert [(gen.text(), n) for gen, n in g.structure] == pinned
+    gen_powers = []  # gen_powers[i][t] = g_i^t as a polynomial
+    for gen, n in g.structure:
+        row = [one]
+        for _ in range(n - 1):
+            row.append(row[-1] * gen % g.d)
+        gen_powers.append(row)
+    for c in range(g.order):
+        digits, rest = [], c
+        for n in reversed(orders):
+            rest, t = divmod(rest, n)
+            digits.insert(0, t)
+        assert g.dlog(c) == tuple(digits)
+        prod = one
+        for row, t in zip(gen_powers, digits):
+            prod = prod * row[t] % g.d
+        assert els[c] == prod and g.index_of(prod) == c
+    assert els[0] == one
+    for a in range(g.order):
+        shift = g.translation(a)
+        assert all(els[shift[v]] == els[v] * els[a] % g.d for v in range(g.order))
+    powers = list(els)  # powers[c] = els[c]^r, r = 1, 2, ...
+    for r in range(1, g.exponent + 2):
+        pm = g.power_map(r)
+        assert all(els[pm[c]] == powers[c] for c in range(g.order)), r
+        powers = [x * y % g.d for x, y in zip(powers, els)]
+    assert g.power_map(0) == [0] * g.order
+    assert g.power_map(-1) == g.power_map(g.exponent - 1)
+    for residues in g.monic_residues:
+        assert list(residues) == sorted(residues)
 
 
 def test_index_of_rejects_non_coprime_and_wrong_field():

@@ -13,7 +13,12 @@ from ffcount.algebra import FieldSpec, Poly, parse_poly
 from ffcount.apinterval import APQuery, IntervalQuery, ap_enumerate, interval_enumerate
 from ffcount.asym import Magnitude
 from ffcount.errors import OutsideProvenRangeError, UndefinedMainTermError
-from ffcount.exactcount import brute_force_count, max_omega, omega_mean_exact
+from ffcount.exactcount import (
+    brute_force_count,
+    euler_product_squarefree,
+    max_omega,
+    omega_mean_exact,
+)
 
 
 def run_cli(capsys, argv):
@@ -205,12 +210,51 @@ def test_prime_power_check_is_fast_on_large_fields(capsys):
     code, out, _ = run_cli(capsys, ["count", "--q", "1000000000000000003", "--n", "2"])
     assert code == 0 and time.monotonic() - t0 < 2
     assert json.loads(out)["q"] == 10**18 + 3
-    assert run_cli(capsys, ["count", "--q", "3486784401", "--n", "2"])[0] == 3  # 3^20
+    # 3^20: count needs only the integer q, weil the field's tables
+    assert run_cli(capsys, ["count", "--q", "3486784401", "--n", "2"])[0] == 0
+    assert run_cli(capsys, ["weil", "--q", "3486784401", "--d", "0,1"])[0] == 3
     assert run_cli(capsys, ["count", "--q", "100", "--n", "2"])[0] == 2
     assert cli._prime_power(2**100) == (2, 100)
     # past the proven range of the Miller-Rabin bases: a usage error
     code, _, err = run_cli(capsys, ["count", "--q", str(10**25 + 13), "--n", "2"])
     assert code == 2 and "3.3e24" in err
+
+
+def test_commands_that_need_only_q_build_no_field_tables(capsys):
+    # past the extension-table limit of 64, count and the analytic
+    # commands still run; the group commands keep the limit and exit 3
+    code, out, _ = run_cli(capsys, ["count", "--q", "128", "--n", "6"])
+    assert code == 0
+    rows = json.loads(out)["rows"]
+    assert [int(r["count"]) for r in rows] == list(euler_product_squarefree(128, 6).row(6))
+    for argv in (["asym", "--q", "128", "--n", "10", "--k", "2"],
+                 ["compare", "--q", "128", "--n", "6", "--k", "2"],
+                 ["omega-stats", "--q", "128", "--n", "4"],
+                 ["qlimit", "--q", "128", "--n", "5", "--k", "2"],
+                 ["count", "--p", "2", "--e", "7", "--n", "3"]):
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0 and json.loads(out)["q"] == 128, argv
+    for argv in (["ap", "--q", "128", "--d", "0,1", "--g", "1", "--n", "3", "--k", "1"],
+                 ["interval", "--q", "128", "--g", "0,1", "--h", "0", "--k", "1"],
+                 ["weil", "--q", "128", "--d", "0,1"]):
+        assert run_cli(capsys, argv)[0] == 3, argv
+    # the field flags are still checked: X^7 + 1 is reducible over F_2
+    for argv in (["count", "--p", "2", "--e", "7", "--modulus", "1,0,0,0,0,0,0,1", "--n", "3"],
+                 ["count", "--p", "4", "--n", "3"],
+                 ["count", "--p", "3", "--modulus", "1,1", "--n", "3"]):
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (2, "") and err.startswith("ffcount: "), argv
+
+
+@pytest.mark.parametrize("A", ["inf", "1e308", "1e200", "nan", "1"])
+def test_A_outside_its_range_exits_2_naming_A(capsys, A):
+    for argv in (["asym", "--q", "2", "--n", "10", "--k", "2"],
+                 ["compare", "--q", "2", "--n", "10", "--k", "2"],
+                 ["ap", "--q", "3", "--d", "0,1", "--g", "1", "--n", "4", "--k", "2"],
+                 ["interval", "--q", "2", "--g", "1,0,0,0,1", "--h", "2", "--k", "2"]):
+        code, out, err = run_cli(capsys, argv + ["--A", A])
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("ffcount: A must satisfy"), err
 
 
 def test_range_parser():
