@@ -92,10 +92,10 @@ def _is_prime_mr(n: int) -> bool:
 
 
 def _field_modulus(p: int, e: int, modulus, limit: int | None = None):
-    """The modulus of F_(p^e) reduced mod p, None for e = 1, once p is
-    checked prime, e >= 1 and the modulus monic irreducible of degree e
-    over F_p.  With a limit, an extension field of more elements is refused
-    before its modulus is read."""
+    """The modulus of F_(p^e) reduced mod p, once p is checked prime,
+    e >= 1 and a given modulus monic irreducible of degree e over F_p; None
+    for e = 1 or when none is given.  With a limit, an extension field of
+    more elements is refused before its modulus is read."""
     if not _is_prime_mr(p):
         raise ValueError(f"p = {p} is not prime")
     if e < 1:
@@ -108,7 +108,7 @@ def _field_modulus(p: int, e: int, modulus, limit: int | None = None):
         raise BudgetExceededError(
             f"extension field size {p**e} exceeds the table limit {limit}")
     if modulus is None:
-        raise ValueError("an explicit irreducible modulus is required for e > 1")
+        return None
     modulus = tuple(int(c) % p for c in modulus)
     while modulus and modulus[-1] == 0:
         modulus = modulus[:-1]
@@ -128,6 +128,8 @@ class FieldSpec:
 
     def __init__(self, p: int, e: int = 1, modulus: tuple[int, ...] | None = None):
         self.modulus = _field_modulus(p, e, modulus, _EXTENSION_Q_LIMIT)
+        if e > 1 and self.modulus is None:
+            raise ValueError("an explicit irreducible modulus is required for e > 1")
         self.p, self.e, self.q = p, e, p**e
         self._mul_t = self._inv_t = self._neg_t = None
         if e > 1:
@@ -233,14 +235,19 @@ def _field_cached(p: int, e: int, modulus: tuple[int, ...] | None) -> FieldSpec:
 
 
 def field(p: int, e: int = 1, modulus=None) -> FieldSpec:
-    """Construct (and cache) a field spec; modulus may be any coefficient iterable."""
+    """Construct (and cache) a field spec; modulus may be any coefficient
+    iterable, and for e > 1 defaults to default_modulus(p, e)."""
     if modulus is not None:
         modulus = tuple(int(c) for c in modulus)
+    elif e != 1:
+        modulus = default_modulus(p, e)
     return _field_cached(p, e, modulus)
 
 
 def default_modulus(p: int, e: int) -> tuple[int, ...]:
-    """Lexicographically least monic irreducible of degree e over F_p."""
+    """Lexicographically least monic irreducible of degree e over F_p; a
+    field past the table limit is refused before the search of p^e monics."""
+    _field_modulus(p, e, None, _EXTENSION_Q_LIMIT)
     base = field(p)
     for idx in range(p**e):
         coeffs = _monic_coeffs_from_index(base, e, idx)
@@ -604,15 +611,14 @@ def _monic_index(field: FieldSpec, coeffs: tuple) -> int:
     return idx
 
 
-def enumerate_monics(field: FieldSpec, n: int, budget: int | None = None) -> Iterator[Poly]:
+def enumerate_monics(field: FieldSpec, n: int) -> Iterator[Poly]:
     """Yield all monic polynomials of degree n in lexicographic order."""
     if n < 0:
         raise ValueError("degree must be >= 0")
-    limit = DEFAULT_ENUM_BUDGET if budget is None else budget
-    if field.q**n > limit:
+    if field.q**n > DEFAULT_ENUM_BUDGET:
         raise BudgetExceededError(
-            f"enumerating {field.q}**{n} monic polynomials exceeds the budget {limit}"
-        )
+            f"enumerating {field.q}**{n} monic polynomials exceeds the budget "
+            f"{DEFAULT_ENUM_BUDGET}")
     if n == 0:
         yield Poly.one(field)
         return
@@ -624,23 +630,22 @@ def enumerate_monics(field: FieldSpec, n: int, budget: int | None = None) -> Ite
 _IRR_TABLES: dict[tuple, tuple[tuple[int, ...], ...]] = {}
 
 
-def _irreducible_coeff_table(field: FieldSpec, n: int, budget: int | None = None) -> tuple:
+def _irreducible_coeff_table(field: FieldSpec, n: int) -> tuple:
     key = (field.key, n)
     cached = _IRR_TABLES.get(key)
     if cached is not None:
         return cached
-    limit = DEFAULT_ENUM_BUDGET if budget is None else budget
     q = field.q
-    if q**n > limit:
+    if q**n > DEFAULT_ENUM_BUDGET:
         raise BudgetExceededError(
-            f"irreducible table for degree {n} over F_{q} exceeds the budget {limit}"
-        )
+            f"irreducible table for degree {n} over F_{q} exceeds the budget "
+            f"{DEFAULT_ENUM_BUDGET}")
     if n == 1:
         table = tuple(_monic_coeffs_from_index(field, 1, i) for i in range(q))
     else:
         sieve = bytearray(q**n)
         for d in range(1, n // 2 + 1):
-            lower = _irreducible_coeff_table(field, d, limit)
+            lower = _irreducible_coeff_table(field, d)
             for pc in lower:
                 for idx in range(q ** (n - d)):
                     other = _monic_coeffs_from_index(field, n - d, idx)
@@ -658,11 +663,11 @@ def _irreducible_coeff_table(field: FieldSpec, n: int, budget: int | None = None
     return table
 
 
-def enumerate_irreducibles(field: FieldSpec, n: int, budget: int | None = None) -> tuple[Poly, ...]:
+def enumerate_irreducibles(field: FieldSpec, n: int) -> tuple[Poly, ...]:
     """All monic irreducibles of degree n, lexicographic, cached per field."""
     if n < 1:
         raise ValueError("degree must be >= 1")
-    return tuple(Poly._raw(field, cs) for cs in _irreducible_coeff_table(field, n, budget))
+    return tuple(Poly._raw(field, cs) for cs in _irreducible_coeff_table(field, n))
 
 
 def is_irreducible(f: Poly) -> bool:
@@ -695,7 +700,7 @@ class FactorStats(namedtuple("FactorStats", "omega mu squarefree factors")):
     __slots__ = ()
 
 
-def factor_stats(f: Poly, budget: int | None = None) -> FactorStats:
+def factor_stats(f: Poly) -> FactorStats:
     """Full factorization of a monic polynomial by cached-table trial division."""
     if not f.is_monic:
         raise ValueError("factor_stats expects a monic polynomial")
@@ -704,7 +709,7 @@ def factor_stats(f: Poly, budget: int | None = None) -> FactorStats:
     factors: list[tuple[Poly, int]] = []
     d = 1
     while 2 * d <= len(rem) - 1:
-        for pc in _irreducible_coeff_table(field, d, budget):
+        for pc in _irreducible_coeff_table(field, d):
             if 2 * d > len(rem) - 1:
                 break
             mult = 0

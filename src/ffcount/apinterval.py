@@ -50,7 +50,6 @@ from .algebra import (
     factor_stats,
     involute,
     poly_gcd,
-    _monic_coeffs_from_index,
 )
 from .characters import CharacterSums, twisted_series, unit_group, word_primes
 from .errors import BudgetExceededError, ConsistencyError
@@ -349,11 +348,11 @@ def pi_k_interval_chars(qy: IntervalQuery) -> int:
     return _char_sweep(*interval_progressions(qy))
 
 
-def ap_enumerate(qy: APQuery, budget: int | None = None) -> int:
+def ap_enumerate(qy: APQuery) -> int:
     """Brute-force progression count; the oracle for pi_k_ap_exact."""
     r = qy.g % qy.d
     total = 0
-    for f in enumerate_monics(qy.d.field, qy.n, budget):
+    for f in enumerate_monics(qy.d.field, qy.n):
         if f % qy.d == r:
             st = factor_stats(f)
             if st.squarefree and st.omega == qy.k:
@@ -361,17 +360,13 @@ def ap_enumerate(qy: APQuery, budget: int | None = None) -> int:
     return total
 
 
-def interval_enumerate(qy: IntervalQuery, budget: int | None = None) -> int:
-    """Brute-force interval count; the oracle for pi_k_interval_exact."""
+def interval_enumerate(qy: IntervalQuery) -> int:
+    """Brute-force interval count; the oracle for pi_k_interval_exact.  f - g
+    runs over the monics of degree h + 1 without their leading 1."""
     fld = qy.g.field
-    q = fld.q
-    cap = 2_000_000 if budget is None else budget
-    if q ** (qy.h + 1) > cap:
-        raise BudgetExceededError(
-            f"interval of size {q ** (qy.h + 1)} exceeds the enumeration cap {cap}")
     total = 0
-    for code in range(q ** (qy.h + 1)):
-        f = qy.g + Poly(fld, _monic_coeffs_from_index(fld, qy.h + 1, code)[:-1])
+    for m in enumerate_monics(fld, qy.h + 1):
+        f = qy.g + Poly(fld, m.coeffs[:-1])
         st = factor_stats(f)
         if st.squarefree and st.omega == qy.k:
             total += 1

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
@@ -176,9 +177,11 @@ def truncation_depth(q, cfg: AnalyticConfig | None = None, bound: float | None =
     q^d >= 2a, so the tail past D is under (a^2+a) q^(-D)/(q-1).
     """
     cfg = cfg or DEFAULT_CONFIG
+    q = _coerce_q(q)
+    if q > sys.float_info.max:  # euler_F and the tail bound take float(q)
+        raise ValueError(f"q = {q} exceeds the double range of the Euler product")
     if cfg.D is not None:
         return cfg.D
-    q = _coerce_q(q)
     a = max(cfg.A, bound if bound is not None else 0.0)
     lq = math.log(q)
     d_small = math.ceil(math.log(2 * a) / lq)
@@ -361,36 +364,26 @@ def main_term_thm1(q, n: int, k: int, cfg: AnalyticConfig | None = None,
 
 
 def main_term_thm2(n: int, k: int, d: Poly, cfg: AnalyticConfig | None = None,
-                   form: str = "phi", override: bool = False) -> Magnitude:
+                   override: bool = False) -> Magnitude:
     """Predicted count in the progression f = g mod d, any unit residue g.
 
-    form "phi" divides by the unit group order; form "remark" uses the
-    equivalent prefactor prod over p | d of (1 - q^-deg p)^-1 times
-    q^(n - deg d).  The two agree identically.
+    It divides by the unit group order phi(d); the equivalent prefactor
+    q^(n - deg d) prod over p | d of (1 - q^-deg p)^-1 is the same number.
     """
     cfg = cfg or DEFAULT_CONFIG
     _check_nk(n, k)
     if d.degree < 1:
         raise ValueError("modulus must be nonconstant")
     q = d.field.q
-    m = d.degree
     if not override:
         bound = admissible_range(q, n, cfg.A, "thm2_m")
-        if bound is None or m > bound:
+        if bound is None or d.degree > bound:
             raise OutsideProvenRangeError(
                 "modulus degree outside the proven range; pass override=True")
     r = (k - 1) / math.log(n)
     gd = bigGd(r, d, cfg)
     base = _ln_k_prefactor(n, k) - math.log(n)
-    if form == "phi":
-        ln_val = base + n * math.log(q) - ln_exact(phi_poly(d))
-    elif form == "remark":
-        corr = 0.0
-        for p, _mult in factor_stats(d).factors:
-            corr -= math.log1p(-float(q) ** (-(len(p.coeffs) - 1)))
-        ln_val = base + (n - m) * math.log(q) + corr
-    else:
-        raise ValueError("form must be 'phi' or 'remark'")
+    ln_val = base + n * math.log(q) - ln_exact(phi_poly(d))
     return Magnitude.from_float(gd) * Magnitude.from_ln(ln_val)
 
 

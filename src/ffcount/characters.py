@@ -162,7 +162,7 @@ def _power(mul, identity, x, t: int):
 class UnitGroup:
     """Multiplicative group of residues coprime to a monic modulus."""
 
-    def __init__(self, d: Poly, budget: int | None = None):
+    def __init__(self, d: Poly):
         if not d.is_monic or d.degree < 1:
             raise ValueError("modulus must be monic of degree >= 1")
         self.d = d
@@ -170,10 +170,9 @@ class UnitGroup:
         self.q = d.field.q
         self.m = d.degree
         self.order = phi_poly(d)
-        limit = DEFAULT_GROUP_BUDGET if budget is None else budget
-        if self.order > limit:
-            raise BudgetExceededError(
-                "unit group order %d exceeds budget %d" % (self.order, limit))
+        if self.order > DEFAULT_GROUP_BUDGET:
+            raise BudgetExceededError("unit group order %d exceeds budget %d"
+                                      % (self.order, DEFAULT_GROUP_BUDGET))
         elems = []
         index: dict[tuple, int] = {}
         for f in self._residues():
@@ -195,7 +194,6 @@ class UnitGroup:
                 by_degree[f.degree].append(i)
         self.monic_residues = tuple(tuple(r) for r in by_degree)
         self.exponent = math.lcm(*self._orders)
-        self._class_counts: dict[int, dict[int, dict[int, int]]] = {}
         self._power_maps: dict[int, list[int]] = {}
 
     def _residues(self):
@@ -350,16 +348,13 @@ class UnitGroup:
             out.append((adj, n))
         return out
 
-    def irreducible_classes(self, max_degree: int, budget: int | None = None,
-                            method: str = "class"):
+    def irreducible_classes(self, max_degree: int, method: str = "class"):
         """Per-degree counts of irreducibles by unit class, {deg: {idx: count}}.
 
         Irreducibles dividing the modulus are excluded (their residues are
         not units).  method "class" (or "auto", the same) uses the Newton
-        recurrence on the class-refined zeta coefficients, cached per degree
-        (only missing degrees are computed).  "direct" reduces every
-        enumerated irreducible; it is the test oracle of the recurrence, so
-        it neither reads nor fills that cache.
+        recurrence on the class-refined zeta coefficients.  "direct" reduces
+        every enumerated irreducible; it is the test oracle of the recurrence.
         """
         if max_degree < 0:
             raise ValueError("max_degree must be nonnegative")
@@ -367,22 +362,18 @@ class UnitGroup:
             raise ValueError(f"unknown method {method!r}")
         if method == "direct":
             out: dict[int, dict[int, int]] = {}
-            for n in range(1, max_degree + 1):
+            # the highest degree first: its sieve is the largest, so a table
+            # past the enumeration budget is refused before any is sieved
+            for n in range(max_degree, 0, -1):
                 counts: dict[int, int] = {}
-                for p in enumerate_irreducibles(self.field, n, budget):
+                for p in enumerate_irreducibles(self.field, n):
                     r = p % self.d
                     idx = self._index.get(r.coeffs)
                     if idx is not None:
                         counts[idx] = counts.get(idx, 0) + 1
                 out[n] = counts
             return out
-        missing = [n for n in range(1, max_degree + 1)
-                   if n not in self._class_counts]
-        if missing:
-            newton = _newton_class_counts(self, max_degree)
-            for n in missing:
-                self._class_counts[n] = newton[n]
-        return {n: dict(self._class_counts[n]) for n in range(1, max_degree + 1)}
+        return _newton_class_counts(self, max_degree)
 
 
 def _newton_class_counts(group: UnitGroup, N: int):
@@ -462,8 +453,8 @@ def _newton_class_counts(group: UnitGroup, N: int):
 
 
 @lru_cache(maxsize=None)
-def unit_group(d: Poly, budget: int | None = None) -> UnitGroup:
-    return UnitGroup(d, budget)
+def unit_group(d: Poly) -> UnitGroup:
+    return UnitGroup(d)
 
 
 def _find_roots(coeffs: list[complex]) -> tuple[tuple[complex, ...], float]:

@@ -6,10 +6,10 @@ Representation conventions used throughout this module:
   in degree ("1,0,1" is 1 + X^2); over an extension field each coefficient
   is a slash-separated vector over the prime subfield.  Reports echo
   polynomials in the same format.
-* The field comes from --q <prime power> (shorthand, picks the default
-  modulus when the exponent exceeds 1) or from --p with optional --e and
-  --modulus.  --q with any of --p, --e, --modulus, or --e or --modulus
-  without --p, is a usage error.
+* The field comes from --q <prime power> or from --p with optional --e
+  and --modulus; ap, interval and weil pick the default modulus when the
+  exponent exceeds 1 and none is given.  --q with any of --p, --e,
+  --modulus, or --e or --modulus without --p, is a usage error.
 * Integer ranges: "8" is a single point, "2:8" is inclusive with step 1,
   "50:400:x2" is geometric with integer factor 2, capped at the upper
   endpoint.
@@ -39,7 +39,7 @@ import sys
 from collections import namedtuple
 from fractions import Fraction
 
-from .algebra import FieldSpec, Poly, _field_modulus, _is_prime_mr, default_modulus, parse_poly
+from .algebra import FieldSpec, Poly, _field_modulus, _is_prime_mr, field, parse_poly
 from .apinterval import (
     APQuery,
     IntervalQuery,
@@ -148,8 +148,8 @@ def _prime_power(q: int) -> tuple[int, int]:
 
 
 def _field_args(args, required: bool = True) -> tuple | None:
-    """(p, e, modulus) from the field flags, the modulus defaulted for
-    e > 1; None when no field is given and none is required."""
+    """(p, e, modulus) from the field flags, the modulus None unless
+    --modulus gives it; None when no field is given and none is required."""
     mod = None
     if args.q is not None:
         if (args.p, args.e, args.modulus) != (None, None, None):
@@ -168,15 +168,13 @@ def _field_args(args, required: bool = True) -> tuple | None:
         raise UsageError("a field is required: pass --q or --p")
     else:
         return None
-    if mod is None and e != 1:
-        mod = default_modulus(p, e)
     return p, e, mod
 
 
 def _q_from_args(args, required: bool = True) -> int | None:
     """q for the commands whose recurrences need only the integer: the field
-    flags are checked as a FieldSpec checks them, but no field tables are
-    built, so their size limit does not apply."""
+    flags are checked as a FieldSpec checks them, but no default modulus is
+    searched for and no tables are built, so their size limit does not apply."""
     spec = _field_args(args, required)
     if spec is None:
         return None
@@ -342,7 +340,7 @@ def _dual_path_report(label, qy, exact, chars, term, payload, header, row) -> Re
 
 
 def cmd_ap(args) -> Report:
-    fld = FieldSpec(*_field_args(args))
+    fld = field(*_field_args(args))
     q = fld.q
     cfg = AnalyticConfig(A=args.A)
     d = _poly_arg(fld, args.d, "d")
@@ -358,7 +356,7 @@ def cmd_ap(args) -> Report:
 
 
 def cmd_interval(args) -> Report:
-    fld = FieldSpec(*_field_args(args))
+    fld = field(*_field_args(args))
     q = fld.q
     cfg = AnalyticConfig(A=args.A)
     g = _poly_arg(fld, args.g, "g")
@@ -374,7 +372,7 @@ def cmd_interval(args) -> Report:
 
 
 def cmd_weil(args) -> Report:
-    fld = FieldSpec(*_field_args(args))
+    fld = field(*_field_args(args))
     d = _poly_arg(fld, args.d, "d")
     _check_tol(args.tol)  # also on an order-1 group, which has no character to check
     group = unit_group(d)

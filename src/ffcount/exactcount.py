@@ -126,13 +126,13 @@ class BiSeries:
         return self.coeff[n]
 
 
-def _check_series_budget(q: int, N: int, K: int, bits_cap: int, budget: int | None) -> int:
+def _check_series_budget(q: int, N: int, K: int, budget: int | None) -> int:
     if N < 1 or K < 1:
         raise ValueError("N and K must be >= 1")
-    if N * math.log2(q) > bits_cap + 1e-9:
+    if N * math.log2(q) > DEFAULT_BITS_CAP + 1e-9:
         raise BudgetExceededError(
-            f"series truncation N = {N} over F_{q} exceeds the {bits_cap}-bit coefficient cap"
-        )
+            f"series truncation N = {N} over F_{q} exceeds the {DEFAULT_BITS_CAP}-bit "
+            "coefficient cap")
     # the recurrence packs n F_n, up to N q^N, into each slot
     slot = slot_bits(q, N) + N.bit_length()
     estimated = (N + 1) * (K + 1) * slot // 8 + (N + 1) * 64
@@ -176,7 +176,6 @@ def euler_product_squarefree(
     N: int,
     K: int | None = None,
     *,
-    bits_cap: int = DEFAULT_BITS_CAP,
     budget: int | None = None,
 ) -> BiSeries:
     """Counts of squarefree monic polynomials by degree and distinct-factor count.
@@ -187,7 +186,7 @@ def euler_product_squarefree(
     q = _coerce_q(q)
     if K is None:
         K = min(N, DEFAULT_K_CAP)
-    slot = _check_series_budget(q, N, K, bits_cap, budget)
+    slot = _check_series_budget(q, N, K, budget)
     # t Pi(t) = sum over d r = t of mu(r) q^d.  In the z^m sum, the terms
     # with m r <= L add up to mu(r) G_mr(n), where G_s(n) = sum_d q^d F_{n-sd};
     # the others weigh single rows, weights[m][t]
@@ -219,7 +218,6 @@ def euler_product_allfactors(
     N: int,
     K: int | None = None,
     *,
-    bits_cap: int = DEFAULT_BITS_CAP,
     budget: int | None = None,
 ) -> BiSeries:
     """Counts of all monic polynomials by degree and distinct-factor count.
@@ -234,7 +232,7 @@ def euler_product_allfactors(
     if N < 1 or K < 1:
         raise ValueError("N and K must be >= 1")
     full = max_omega(q, N)
-    sf = euler_product_squarefree(q, N, max(1, full), bits_cap=bits_cap, budget=budget)
+    sf = euler_product_squarefree(q, N, max(1, full), budget=budget)
     slot = slot_bits(q, N)
     slot_mask = (1 << slot) - 1
     width = max(K, full) + 1
@@ -264,7 +262,7 @@ def rising_factorial_over_factorial(n: int, z: complex) -> complex:
 # -- enumeration oracle ----------------------------------------------------------
 
 
-def brute_force_tables(field: FieldSpec, n: int, budget: int | None = None):
+def brute_force_tables(field: FieldSpec, n: int):
     """Counts by distinct-factor count from direct enumeration of M_n.
 
     Returns (squarefree_counts, all_counts), each a list indexed by k.
@@ -274,7 +272,7 @@ def brute_force_tables(field: FieldSpec, n: int, budget: int | None = None):
     size = n + 1
     sq = [0] * size
     al = [0] * size
-    for f in enumerate_monics(field, n, budget):
+    for f in enumerate_monics(field, n):
         st = factor_stats(f)
         al[st.omega] += 1
         if st.squarefree:
@@ -282,15 +280,13 @@ def brute_force_tables(field: FieldSpec, n: int, budget: int | None = None):
     return sq, al
 
 
-def brute_force_count(
-    field: FieldSpec, n: int, k: int, mode: str = "squarefree", budget: int | None = None
-) -> int:
+def brute_force_count(field: FieldSpec, n: int, k: int, mode: str = "squarefree") -> int:
     """Enumeration-based count; mode is "squarefree" or "all"."""
     if mode not in ("squarefree", "all"):
         raise ValueError(f"unknown mode {mode!r}")
     if k < 0:
         raise ValueError("k must be >= 0")
-    sq, al = brute_force_tables(field, n, budget)
+    sq, al = brute_force_tables(field, n)
     table = sq if mode == "squarefree" else al
     return table[k] if k < len(table) else 0
 

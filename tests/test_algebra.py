@@ -127,6 +127,14 @@ def test_default_modulus_is_irreducible():
         assert len(m) == e + 1
 
 
+def test_default_modulus_refuses_a_field_past_the_table_limit():
+    # the search would walk p^e monics; (10^24 + 7)^13 must fail at once
+    for p, e in ((2, 7), (10**24 + 7, 13)):
+        with pytest.raises(BudgetExceededError, match="exceeds the table limit 64"):
+            default_modulus(p, e)
+    assert default_modulus(2, 6) == (1, 1, 0, 0, 0, 0, 1)
+
+
 def test_poly_text_round_trip():
     rng = random.Random(11)
     for fld in (F2, F3, F4, F5):
@@ -169,7 +177,7 @@ def test_enumerate_monics_order_and_count():
 
 def test_enumerate_monics_budget():
     with pytest.raises(BudgetExceededError):
-        list(enumerate_monics(F2, 30, budget=1000))
+        list(enumerate_monics(F2, 30))
 
 
 def _irreducible_by_trial_division(f):

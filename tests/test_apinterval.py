@@ -463,7 +463,7 @@ def test_interval_query_validation():
 
 def test_interval_enumeration_budget_guard():
     with pytest.raises(BudgetExceededError):
-        interval_enumerate(IntervalQuery(30, 2, Poly.x(F2, 30), 25), budget=1000)
+        interval_enumerate(IntervalQuery(30, 2, Poly.x(F2, 30), 25))
 
 
 # -- rate sweeps against the predicted main terms ---------------------------------

@@ -118,6 +118,16 @@ def test_truncation_depth_controls():
     assert tight > loose >= 1
 
 
+def test_q_past_the_double_range_is_a_value_error_naming_q():
+    # (10^24 + 7)^13 is about 1e312: float(q) would overflow
+    q = (10**24 + 7) ** 13
+    for call in (lambda: euler_F(0.5, q), lambda: truncation_depth(q),
+                 lambda: main_term_thm1(q, 3, 2)):
+        with pytest.raises(ValueError, match=f"q = {q} exceeds the double range"):
+            call()
+    assert qlimit_count(q, 3, 2).sign == 1  # log space only, no float of q
+
+
 def test_g_and_h_normalization_at_zero():
     for q in (2, 3, 5, 9):
         assert abs(bigG(0.0, q) - 1.0) <= 1e-12
@@ -161,18 +171,6 @@ def test_main_term_thm2_hand_value():
     d = Poly.x(F3)
     m = main_term_thm2(50, 1, d, override=True)
     assert abs(math.exp(m.ln_abs) / (3**50 / (2 * 50)) - 1.0) <= 1e-12
-
-
-def test_main_term_thm2_forms_agree():
-    for txt in ("0,1", "0,0,1", "1,0,1"):
-        d = parse_poly(F3, txt)
-        for k in (1, 2, 3):
-            a = main_term_thm2(30, k, d, form="phi", override=True)
-            b = main_term_thm2(30, k, d, form="remark", override=True)
-            assert a.sign == b.sign == 1
-            assert abs(a.ln_abs - b.ln_abs) <= 1e-12
-    with pytest.raises(ValueError):
-        main_term_thm2(30, 2, Poly.x(F3), form="other", override=True)
 
 
 def test_main_term_thm2_prefactor_identity_exact():

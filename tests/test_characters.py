@@ -13,6 +13,7 @@ from ffcount.algebra import (
     enumerate_monics,
     factor_stats,
     field,
+    irreducible_count,
     parse_poly,
     phi_poly,
     poly_gcd,
@@ -225,8 +226,8 @@ def test_index_of_rejects_non_coprime_and_wrong_field():
 
 def test_group_budget_guard():
     with pytest.raises(BudgetExceededError):
-        UnitGroup(Poly.x(F5, 8), budget=1000)
-    assert UnitGroup(Poly.x(F5, 2), budget=1000).order == 20
+        UnitGroup(Poly.x(F5, 8))
+    assert UnitGroup(Poly.x(F5, 2)).order == 20
 
 
 def test_group_rejects_bad_modulus():
@@ -567,6 +568,25 @@ def test_auto_method_avoids_a_sieve_past_the_enumeration_budget():
     assert auto == UnitGroup(d).irreducible_classes(14, method="class")
 
 
+def test_direct_method_refuses_past_the_enumeration_budget_before_it_sieves(monkeypatch):
+    # 2^21 monics of degree 21 are over the budget; the degrees below it
+    # fit, so walking up from degree 1 would sieve all of them first
+    asked = []
+    real = characters_module.enumerate_irreducibles
+
+    def recorded(fld, n):
+        asked.append(n)
+        return real(fld, n)
+
+    monkeypatch.setattr(characters_module, "enumerate_irreducibles", recorded)
+    g = UnitGroup(_p(F2, "0,1"))
+    with pytest.raises(BudgetExceededError, match="degree 21 over F_2 exceeds the budget"):
+        g.irreducible_classes(21, method="direct")
+    assert asked == [21]
+    # the Newton recurrence needs no sieve: the one class holds them all
+    assert g.irreducible_classes(21)[21] == {0: irreducible_count(2, 21)}
+
+
 def test_monic_residues_are_the_monic_units_by_degree():
     for fld, d_text in ((F2, "0,1,0,1"), (F3, "0,0,1"), (F4, "1,0,1"), (F5, "2,0,1")):
         d = _p(fld, d_text)
@@ -576,37 +596,6 @@ def test_monic_residues_are_the_monic_units_by_degree():
             want = sorted(g.index_of(f) for f in enumerate_monics(fld, j)
                           if poly_gcd(f, d).degree == 0)
             assert list(g.monic_residues[j]) == want
-
-
-def test_class_counts_fill_only_missing_degrees(monkeypatch):
-    g = UnitGroup(_p(F3, "1,0,1"))
-    low = g.irreducible_classes(3)
-    calls = []
-    real = characters_module._newton_class_counts
-
-    def counted(group, N):
-        calls.append(N)
-        return real(group, N)
-
-    monkeypatch.setattr(characters_module, "_newton_class_counts", counted)
-    assert g.irreducible_classes(2) == {n: low[n] for n in (1, 2)}
-    assert calls == []
-    high = g.irreducible_classes(5)
-    assert calls == [5]
-    assert {n: high[n] for n in (1, 2, 3)} == low
-    assert high == UnitGroup(g.d).irreducible_classes(5, method="direct")
-
-
-def test_direct_method_neither_reads_nor_fills_the_class_cache():
-    # "direct" is the oracle of the Newton recurrence, so it must not
-    # answer from the recurrence's cache or seed it
-    g = UnitGroup(_p(F3, "1,0,1"))
-    direct = g.irreducible_classes(5, method="direct")
-    assert g._class_counts == {}
-    newton = g.irreducible_classes(5)
-    assert newton == direct
-    g._class_counts[3] = {}
-    assert g.irreducible_classes(5, method="direct") == direct
 
 
 def test_newton_class_counts_memory_stays_linear_in_the_group_order():

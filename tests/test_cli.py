@@ -246,6 +246,49 @@ def test_commands_that_need_only_q_build_no_field_tables(capsys):
         assert (code, out) == (2, "") and err.startswith("ffcount: "), argv
 
 
+BIG_P = 10**24 + 7  # prime, below the proven range of the Miller-Rabin bases
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (["count", "--q", str(BIG_P**13), "--n", "2"], 3, "600-bit coefficient cap"),
+    (["qlimit", "--q", str(BIG_P**13), "--n", "3", "--k", "2"], 0, ""),
+    (["asym", "--q", str(BIG_P**13), "--n", "3", "--k", "2"], 2,
+     f"q = {BIG_P**13} exceeds the double range"),
+    (["asym", "--p", str(BIG_P), "--e", "13", "--n", "3", "--k", "2"], 2,
+     f"q = {BIG_P**13} exceeds the double range"),
+    (["ap", "--q", str(BIG_P**13), "--d", "0,1", "--g", "1", "--n", "3", "--k", "1"], 3,
+     "exceeds the table limit 64"),
+], ids=["count", "qlimit", "asym", "asym-p-e", "ap"])
+def test_large_extension_degrees_search_no_default_modulus(capsys, argv, code, message):
+    # (10^24 + 7)^13: a default modulus would be searched for among p^13
+    # monics, so the commands that need only q must not look for one, and
+    # the field commands must refuse the field before they do
+    t0 = time.monotonic()
+    got, out, err = run_cli(capsys, argv)
+    assert time.monotonic() - t0 < 10
+    assert got == code and message in err
+    assert "Traceback" not in err and (out == "") == (code != 0)
+
+
+# one case per fixed cap: unit group order, coefficient bits, extension
+# size, table bytes (the only one a flag sets) and enumerated monics
+@pytest.mark.parametrize("argv, message", [
+    (["ap", "--q", "2", "--d", ",".join(["0"] * 18 + ["1"]), "--g", "1", "--n", "20",
+      "--k", "2"], "unit group order 131072 exceeds budget 100000"),
+    (["count", "--q", "2", "--n", "601"], "exceeds the 600-bit coefficient cap"),
+    (["weil", "--q", "128", "--d", "0,1"], "extension field size 128 exceeds the table limit 64"),
+    (["count", "--q", "2", "--n", "50", "--budget", "64"], "exceeds the budget 64"),
+    (["ap", "--q", "2", "--d", "0,1", "--g", "1", "--n", "21", "--k", "2", "--method",
+      "direct"], "irreducible table for degree 21 over F_2 exceeds the budget 2000000"),
+], ids=["group-order", "bits", "extension", "bytes", "enumeration"])
+def test_every_fixed_cap_exits_3_naming_it(capsys, argv, message):
+    t0 = time.monotonic()
+    code, out, err = run_cli(capsys, argv)
+    assert time.monotonic() - t0 < 10
+    assert (code, out) == (3, "")
+    assert err.startswith("ffcount: budget exceeded: ") and message in err, err
+
+
 @pytest.mark.parametrize("A", ["inf", "1e308", "1e200", "nan", "1"])
 def test_A_outside_its_range_exits_2_naming_A(capsys, A):
     for argv in (["asym", "--q", "2", "--n", "10", "--k", "2"],
