@@ -2,22 +2,25 @@
 
 Representation conventions used throughout this module:
 
-* A ``Magnitude`` carries a quantity as ``(sign, ln_abs)`` with ``sign`` in
-  {-1, 0, +1} and ``ln_abs`` the natural log of the absolute value.  The
-  predicted counts grow like q**n / n, which overflows a double long before
-  the sweep ranges end, so every product here is an addition of logs.  The
-  sign is tracked separately so the two-part short-interval term can be
-  combined by signed log-sum-exp.
-* ``AnalyticConfig`` holds the uniformity bound ``A`` (predictions are only
-  claimed for arguments of size up to A), an optional explicit Euler-product
-  truncation degree ``D``, and the certified tail tolerance used to pick a
-  depth automatically when ``D`` is None.
+* A main term is returned as a float, the natural log of the predicted
+  count: the counts grow like q**n / n, which overflows a double long
+  before the sweep ranges end, so every product here is an addition of
+  logs.  A term whose bracket underflows to 0 or overflows a double has no
+  log and raises UndefinedMainTermError.
+* Each theorem is stated once, in a core (``_thm1``, ``_thm2``, ``_thm3``)
+  that checks its arguments and, unless override is set, the proven range,
+  and returns ``(ln_unit, brackets)``: the log of the unit, such as
+  q**n/n (log n)**(k-1)/(k-1)! for Theorem 1, and the positive values whose
+  sum it multiplies.  The main term and the normalized error both read it.
+* ``AnalyticConfig`` holds the uniformity bound ``A``: predictions are only
+  claimed for arguments of size up to A.
 * Infinite products over irreducibles are grouped by degree d and evaluated
   as sums of ``count(d) * local_log_term(d)``.  The combined local term at
   degree d is O(a**2 * q**(-2d)) for argument bound a, so after multiplying
   by count(d) <= q**d the tail past depth D is at most
-  (a**2 + a) * q**(-D) / (q - 1); the automatic depth makes that bound, and
-  the additional constraint q**D >= 2a keeps every log argument away from 0.
+  (a**2 + a) * q**(-D) / (q - 1); the depth is the least D that makes that
+  bound at most TAIL_TOL, with q**D >= 2a, which keeps every log argument
+  away from 0.
 * Big integers and Fractions are moved into log space via ``ln_exact``,
   which never round-trips through a fixed-width float.
 
@@ -42,7 +45,7 @@ from .exactcount import _coerce_q, rising_factorial_over_factorial
 __all__ = [
     "AnalyticConfig",
     "DEFAULT_CONFIG",
-    "Magnitude",
+    "TAIL_TOL",
     "admissible_range",
     "bigG",
     "bigGd",
@@ -55,7 +58,6 @@ __all__ = [
     "main_term_thm1",
     "main_term_thm2",
     "main_term_thm3",
-    "main_term_thm3_terms",
     "qlimit_count",
     "qlimit_sum",
     "ratio_to_main",
@@ -64,6 +66,8 @@ __all__ = [
     "thm3_normalized_error",
     "truncation_depth",
 ]
+
+TAIL_TOL = 1e-12  # certified bound on the Euler product's dropped tail
 
 
 def ln_exact(x) -> float:
@@ -77,115 +81,49 @@ def ln_exact(x) -> float:
     return math.log(x)
 
 
-class Magnitude(namedtuple("Magnitude", "sign ln_abs")):
-    """Signed quantity stored as (sign, natural log of absolute value)."""
-
-    __slots__ = ()
-
-    @classmethod
-    def zero(cls) -> "Magnitude":
-        return cls(0, float("-inf"))
-
-    @classmethod
-    def from_float(cls, x: float) -> "Magnitude":
-        if x == 0:
-            return cls.zero()
-        return cls(1 if x > 0 else -1, math.log(abs(x)))
-
-    @classmethod
-    def from_exact(cls, x) -> "Magnitude":
-        if x == 0:
-            return cls.zero()
-        sign = 1 if x > 0 else -1
-        return cls(sign, ln_exact(abs(x)))
-
-    @classmethod
-    def from_ln(cls, ln_abs: float, sign: int = 1) -> "Magnitude":
-        if sign not in (-1, 0, 1):
-            raise ValueError("sign must be -1, 0, or 1")
-        if sign == 0:
-            return cls.zero()
-        return cls(sign, float(ln_abs))
-
-    def __mul__(self, other: "Magnitude") -> "Magnitude":
-        if self.sign == 0 or other.sign == 0:
-            return Magnitude.zero()
-        return Magnitude(self.sign * other.sign, self.ln_abs + other.ln_abs)
-
-    def __truediv__(self, other: "Magnitude") -> "Magnitude":
-        if other.sign == 0:
-            raise ZeroDivisionError("division by zero Magnitude")
-        if self.sign == 0:
-            return Magnitude.zero()
-        return Magnitude(self.sign * other.sign, self.ln_abs - other.ln_abs)
-
-    def __neg__(self) -> "Magnitude":
-        return Magnitude(-self.sign, self.ln_abs)
-
-    def __add__(self, other: "Magnitude") -> "Magnitude":
-        if self.sign == 0:
-            return other
-        if other.sign == 0:
-            return self
-        hi, lo = (self, other) if self.ln_abs >= other.ln_abs else (other, self)
-        diff = lo.ln_abs - hi.ln_abs
-        if self.sign == other.sign:
-            return Magnitude(hi.sign, hi.ln_abs + math.log1p(math.exp(diff)))
-        if diff == 0:
-            return Magnitude.zero()
-        return Magnitude(hi.sign, hi.ln_abs + math.log1p(-math.exp(diff)))
-
-    def __sub__(self, other: "Magnitude") -> "Magnitude":
-        return self + (-other)
-
-
-def ratio_to_main(value, main: Magnitude) -> float:
-    """Exact integer (or Fraction) divided by a positive Magnitude, as a float."""
-    if main.sign <= 0:
-        raise ValueError("ratio_to_main requires a positive main term")
+def ratio_to_main(value, ln_main: float) -> float:
+    """Exact nonnegative integer (or Fraction) over exp(ln_main), as a float."""
     if value == 0:
         return 0.0
-    if value < 0:
-        raise ValueError("ratio_to_main requires a nonnegative exact value")
-    return math.exp(ln_exact(value) - main.ln_abs)
+    return math.exp(ln_exact(value) - ln_main)
 
 
-class AnalyticConfig(namedtuple("AnalyticConfig", "A D tail_tol")):
-    """Uniformity bound, optional truncation depth, certified tail tolerance."""
+class AnalyticConfig(namedtuple("AnalyticConfig", "A")):
+    """Uniformity bound A of the proven ranges."""
 
     __slots__ = ()
 
-    def __new__(cls, A: float = 2.0, D: int | None = None, tail_tol: float = 1e-12):
-        # the automatic depth grows like 2 log_q A, and past A ~ 1e147 the
+    def __new__(cls, A: float = 2.0):
+        # the truncation depth grows like 2 log_q A, and past A ~ 1e147 the
         # irreducible count at that depth overflows a double over F_2
         if not 1 < A <= 1e100:
             raise ValueError(f"A must satisfy 1 < A <= 1e100, got {A!r}")
-        if D is not None and D < 1:
-            raise ValueError("D must be at least 1")
-        if not tail_tol > 0:
-            raise ValueError("tail_tol must be positive")
-        return super().__new__(cls, A, D, tail_tol)
+        return super().__new__(cls, A)
 
 
 DEFAULT_CONFIG = AnalyticConfig()
 
 
+def _float_q(q) -> int:
+    """q as an int that converts to a double, which the Euler product and H need."""
+    q = _coerce_q(q)
+    if q > sys.float_info.max:
+        raise ValueError(f"q = {q} exceeds the double range of the Euler product")
+    return q
+
+
 def truncation_depth(q, cfg: AnalyticConfig | None = None, bound: float | None = None) -> int:
-    """Euler-product depth whose dropped tail is below cfg.tail_tol.
+    """Euler-product depth whose dropped tail is below TAIL_TOL.
 
     The per-degree combined log term is at most (a^2+a) q^(-2d) once
     q^d >= 2a, so the tail past D is under (a^2+a) q^(-D)/(q-1).
     """
     cfg = cfg or DEFAULT_CONFIG
-    q = _coerce_q(q)
-    if q > sys.float_info.max:  # euler_F and the tail bound take float(q)
-        raise ValueError(f"q = {q} exceeds the double range of the Euler product")
-    if cfg.D is not None:
-        return cfg.D
+    q = _float_q(q)
     a = max(cfg.A, bound if bound is not None else 0.0)
     lq = math.log(q)
     d_small = math.ceil(math.log(2 * a) / lq)
-    tail_target = cfg.tail_tol * (q - 1) / (a * a + a)
+    tail_target = TAIL_TOL * (q - 1) / (a * a + a)
     d_tail = math.ceil(-math.log(tail_target) / lq)
     return max(d_small, d_tail, 1)
 
@@ -312,7 +250,7 @@ def bigGd(z, d: Poly, cfg: AnalyticConfig | None = None):
 
 def bigH(z, q, cfg: AnalyticConfig | None = None):
     """q/(q+z) times bigG(z)."""
-    q = _coerce_q(q)
+    q = _float_q(q)
     zc = complex(z)
     if q + zc == 0:
         raise ValueError("z = -q is a pole of the interval factor")
@@ -349,26 +287,33 @@ def _check_nk(n: int, k: int):
         raise ValueError("k must be at least 1")
 
 
-def main_term_thm1(q, n: int, k: int, cfg: AnalyticConfig | None = None,
-                   override: bool = False) -> Magnitude:
-    """Predicted count of monic squarefree degree-n polynomials with k factors."""
+def _bracket(fn, z, *args) -> float:
+    """fn(z, *args), a bracket of a main term; its gamma and Euler factors
+    overflow a double for large z, and then the term is undefined."""
+    try:
+        return fn(z, *args)
+    except OverflowError:
+        raise UndefinedMainTermError(
+            f"the main term is outside the double range at r = {z!r}") from None
+
+
+def _thm1(q, n: int, k: int, cfg: AnalyticConfig | None, override: bool):
+    """Theorem 1, global: unit q^n/n (log n)^(k-1)/(k-1)!, bracket G(r)."""
     cfg = cfg or DEFAULT_CONFIG
     q = _coerce_q(q)
     _check_nk(n, k)
     if k > cfg.A * math.log(n) and not override:
         raise OutsideProvenRangeError("k exceeds A*log n; pass override=True to evaluate anyway")
-    r = (k - 1) / math.log(n)
-    g = bigG(r, q, cfg)
-    ln_val = n * math.log(q) - math.log(n) + _ln_k_prefactor(n, k)
-    return Magnitude.from_float(g) * Magnitude.from_ln(ln_val)
+    ln_unit = n * math.log(q) - math.log(n) + _ln_k_prefactor(n, k)
+    return ln_unit, (_bracket(bigG, (k - 1) / math.log(n), q, cfg),)
 
 
-def main_term_thm2(n: int, k: int, d: Poly, cfg: AnalyticConfig | None = None,
-                   override: bool = False) -> Magnitude:
-    """Predicted count in the progression f = g mod d, any unit residue g.
+def _thm2(n: int, k: int, d: Poly, cfg: AnalyticConfig | None, override: bool):
+    """Theorem 2, f = g mod d for any unit residue g: Theorem 1's unit over
+    phi(d), bracket G_d(r).
 
-    It divides by the unit group order phi(d); the equivalent prefactor
-    q^(n - deg d) prod over p | d of (1 - q^-deg p)^-1 is the same number.
+    The equivalent prefactor q^(n - deg d) prod over p | d of
+    (1 - q^-deg p)^-1 is the same number as q^n / phi(d).
     """
     cfg = cfg or DEFAULT_CONFIG
     _check_nk(n, k)
@@ -380,55 +325,91 @@ def main_term_thm2(n: int, k: int, d: Poly, cfg: AnalyticConfig | None = None,
         if bound is None or d.degree > bound:
             raise OutsideProvenRangeError(
                 "modulus degree outside the proven range; pass override=True")
-    r = (k - 1) / math.log(n)
-    gd = bigGd(r, d, cfg)
-    base = _ln_k_prefactor(n, k) - math.log(n)
-    ln_val = base + n * math.log(q) - ln_exact(phi_poly(d))
-    return Magnitude.from_float(gd) * Magnitude.from_ln(ln_val)
+    ln_unit = _ln_k_prefactor(n, k) - math.log(n) + n * math.log(q) - ln_exact(phi_poly(d))
+    return ln_unit, (_bracket(bigGd, (k - 1) / math.log(n), d, cfg),)
 
 
-def _thm3_check(q: int, n: int, k: int, h: int, cfg: AnalyticConfig, override: bool):
-    _check_nk(n, k)
-    if n == 2 and k >= 3:  # the second part is evaluated at (k-2)/log(n-1)
-        raise UndefinedMainTermError("the interval main term is undefined at n = 2 for k >= 3")
-    if h < 0 or h >= n:
-        raise ValueError("h must satisfy 0 <= h <= n-1")
-    if h == n - 1 or override:
-        return
-    bound = admissible_range(q, n, cfg.A, "thm3_h")
-    if bound is None or h < bound:
-        raise OutsideProvenRangeError("h below the proven range; pass override=True")
+def _thm3(q, n: int, k: int, h: int, cfg: AnalyticConfig | None, override: bool):
+    """Theorem 3, degree-n monics within distance-degree h of a center: unit
+    q^(h+1)/n (log n)^(k-1)/(k-1)!, brackets H(r1) and (k-1)/(q log n) H(r2).
 
-
-def main_term_thm3_terms(q, n: int, k: int, h: int,
-                         cfg: AnalyticConfig | None = None,
-                         override: bool = False) -> tuple[Magnitude, Magnitude]:
-    """The two parts of the short-interval prediction.
-
-    The first part tracks interval members whose distance from the center
-    has full degree h; the second, lower-order part covers the rest.  For
+    The first bracket tracks interval members whose distance from the center
+    has full degree h; the second, lower-order one covers the rest.  For
     k = 1 the second coefficient is zero and its H value is never evaluated.
     """
     cfg = cfg or DEFAULT_CONFIG
     q = _coerce_q(q)
-    _thm3_check(q, n, k, h, cfg, override)
-    ln_pre = (h + 1) * math.log(q) - math.log(n) + _ln_k_prefactor(n, k)
-    pre = Magnitude.from_ln(ln_pre)
-    r1 = (k - 1) / math.log(n)
-    first = pre * Magnitude.from_float(bigH(r1, q, cfg))
-    if k == 1:
-        return first, Magnitude.zero()
-    r2 = 0.0 if k == 2 else (k - 2) / math.log(n - 1)
-    coef = (k - 1) / (q * math.log(n))
-    second = pre * Magnitude.from_float(coef * bigH(r2, q, cfg))
-    return first, second
+    _check_nk(n, k)
+    if n == 2 and k >= 3:  # the second bracket is evaluated at (k-2)/log(n-1)
+        raise UndefinedMainTermError("the interval main term is undefined at n = 2 for k >= 3")
+    if h < 0 or h >= n:
+        raise ValueError("h must satisfy 0 <= h <= n-1")
+    if h < n - 1 and not override:
+        bound = admissible_range(q, n, cfg.A, "thm3_h")
+        if bound is None or h < bound:
+            raise OutsideProvenRangeError("h below the proven range; pass override=True")
+    ln_unit = (h + 1) * math.log(q) - math.log(n) + _ln_k_prefactor(n, k)
+    brackets = (_bracket(bigH, (k - 1) / math.log(n), q, cfg),)
+    if k > 1:
+        r2 = 0.0 if k == 2 else (k - 2) / math.log(n - 1)
+        brackets += ((k - 1) / (q * math.log(n)) * _bracket(bigH, r2, q, cfg),)
+    return ln_unit, brackets
+
+
+def _main_term(ln_unit: float, brackets: tuple[float, ...]) -> float:
+    """ln(exp(ln_unit) * sum(brackets)), each smaller log added to the larger."""
+    if not all(0 < b < math.inf for b in brackets):
+        raise UndefinedMainTermError("the main term is outside the double range")
+    *rest, ln = sorted(ln_unit + math.log(b) for b in brackets)
+    for lo in rest:
+        ln += math.log1p(math.exp(lo - ln))
+    return ln
+
+
+def _normalized_error(count: int, n: int, k: int, ln_unit: float,
+                      brackets: tuple[float, ...]) -> float:
+    """|count / unit - sum(brackets)| * (log n)^2 / k.
+
+    The prediction's relative error is O(k / (log n)^2), so this quantity
+    should stay bounded and non-increasing along doubling sweeps in n.
+    """
+    return abs(ratio_to_main(count, ln_unit) - sum(brackets)) * math.log(n) ** 2 / k
+
+
+def main_term_thm1(q, n: int, k: int, cfg: AnalyticConfig | None = None,
+                   override: bool = False) -> float:
+    """Log of the predicted count of monic squarefree degree-n polynomials with k factors."""
+    return _main_term(*_thm1(q, n, k, cfg, override))
+
+
+def main_term_thm2(n: int, k: int, d: Poly, cfg: AnalyticConfig | None = None,
+                   override: bool = False) -> float:
+    """Log of the predicted count in the progression f = g mod d, any unit residue g."""
+    return _main_term(*_thm2(n, k, d, cfg, override))
 
 
 def main_term_thm3(q, n: int, k: int, h: int, cfg: AnalyticConfig | None = None,
-                   override: bool = False) -> Magnitude:
-    """Predicted count of degree-n monics within distance-degree h of a center."""
-    first, second = main_term_thm3_terms(q, n, k, h, cfg, override)
-    return first + second
+                   override: bool = False) -> float:
+    """Log of the predicted count of degree-n monics within distance-degree h of a center."""
+    return _main_term(*_thm3(q, n, k, h, cfg, override))
+
+
+def thm1_normalized_error(count: int, q, n: int, k: int,
+                          cfg: AnalyticConfig | None = None) -> float:
+    """Theorem 1's normalized error of an exact count, at any k."""
+    return _normalized_error(count, n, k, *_thm1(q, n, k, cfg, override=True))
+
+
+def thm2_normalized_error(count: int, n: int, k: int, d: Poly,
+                          cfg: AnalyticConfig | None = None) -> float:
+    """Theorem 2's normalized error of a progression count, at any modulus degree."""
+    return _normalized_error(count, n, k, *_thm2(n, k, d, cfg, override=True))
+
+
+def thm3_normalized_error(count: int, q, n: int, k: int, h: int,
+                          cfg: AnalyticConfig | None = None) -> float:
+    """Theorem 3's normalized error of an interval count, at any h."""
+    return _normalized_error(count, n, k, *_thm3(q, n, k, h, cfg, override=True))
 
 
 def admissible_range(q, n: int, A: float, mode: str) -> int | None:
@@ -480,57 +461,9 @@ def qlimit_sum(n: int, k: int) -> Fraction:
     return _qlimit_row(k - 1, n - 1)[n - 1]
 
 
-def qlimit_count(q, n: int, k: int) -> Magnitude:
-    """Large-q approximate count (q^n/n) * qlimit_sum / (k-1)!."""
+def qlimit_count(q, n: int, k: int) -> float:
+    """Log of the large-q approximate count (q^n/n) * qlimit_sum / (k-1)!."""
     q = _coerce_q(q)
     s = qlimit_sum(n, k)
     ln_val = n * math.log(q) - math.log(n) - math.log(math.factorial(k - 1))
-    return Magnitude.from_exact(s) * Magnitude.from_ln(ln_val)
-
-
-def _observed(count: int, ln_main_unit: float) -> float:
-    if count == 0:
-        return 0.0
-    return math.exp(ln_exact(count) - ln_main_unit)
-
-
-def thm1_normalized_error(count: int, q, n: int, k: int,
-                          cfg: AnalyticConfig | None = None) -> float:
-    """|count / unit-main-term - G(r)| * (log n)^2 / k.
-
-    The prediction's relative error is O(k / (log n)^2), so this quantity
-    should stay bounded and non-increasing along doubling sweeps in n.
-    """
-    cfg = cfg or DEFAULT_CONFIG
-    q = _coerce_q(q)
-    r = (k - 1) / math.log(n)
-    ln_unit = n * math.log(q) - math.log(n) + _ln_k_prefactor(n, k)
-    obs = _observed(count, ln_unit)
-    return abs(obs - bigG(r, q, cfg)) * math.log(n) ** 2 / k
-
-
-def thm2_normalized_error(count: int, n: int, k: int, d: Poly,
-                          cfg: AnalyticConfig | None = None) -> float:
-    """Progression analogue of thm1_normalized_error, scaled by phi(d)."""
-    cfg = cfg or DEFAULT_CONFIG
-    q = d.field.q
-    r = (k - 1) / math.log(n)
-    ln_unit = (n * math.log(q) - ln_exact(phi_poly(d)) - math.log(n)
-               + _ln_k_prefactor(n, k))
-    obs = _observed(count, ln_unit)
-    return abs(obs - bigGd(r, d, cfg)) * math.log(n) ** 2 / k
-
-
-def thm3_normalized_error(count: int, q, n: int, k: int, h: int,
-                          cfg: AnalyticConfig | None = None) -> float:
-    """Interval analogue: observed bracket versus the two-term H bracket."""
-    cfg = cfg or DEFAULT_CONFIG
-    q = _coerce_q(q)
-    _thm3_check(q, n, k, h, cfg, override=True)
-    ln_unit = (h + 1) * math.log(q) - math.log(n) + _ln_k_prefactor(n, k)
-    obs = _observed(count, ln_unit)
-    bracket = bigH((k - 1) / math.log(n), q, cfg)
-    if k > 1:
-        r2 = 0.0 if k == 2 else (k - 2) / math.log(n - 1)
-        bracket += (k - 1) / (q * math.log(n)) * bigH(r2, q, cfg)
-    return abs(obs - bracket) * math.log(n) ** 2 / k
+    return ln_exact(s) + ln_val

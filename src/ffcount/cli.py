@@ -268,8 +268,7 @@ def cmd_asym(args) -> Report:
     rows = []
     for n in nrange:
         for k in krange:
-            m = main_term_thm1(q, n, k, cfg, override=args.override)
-            rows.append((q, n, k, m.ln_abs))
+            rows.append((q, n, k, main_term_thm1(q, n, k, cfg, override=args.override)))
     payload = {
         "command": "asym",
         "q": q,
@@ -295,7 +294,7 @@ def cmd_compare(args) -> Report:
         for k in krange:
             exact = table[k] if k <= K else 0
             m = main_term_thm1(q, n, k, cfg)
-            rows.append((q, n, k, exact, m.ln_abs,
+            rows.append((q, n, k, exact, m,
                          ratio_to_main(exact, m),
                          thm1_normalized_error(exact, q, n, k, cfg)))
     payload = {
@@ -316,8 +315,9 @@ def cmd_compare(args) -> Report:
 
 def _dual_path_report(label, qy, exact, chars, term, payload, header, row) -> Report:
     """Finish an ap or interval report: the character-path check, the main
-    term (evaluated with override outside its proven range) and the
-    report tail.  chars(qy) and term(override=...) are the command's own.
+    term (evaluated with override outside its proven range, null where it
+    is undefined) and the report tail.  chars(qy) and term(override=...)
+    are the command's own.
     """
     char_path = chars(qy)
     if char_path != exact:
@@ -326,11 +326,12 @@ def _dual_path_report(label, qy, exact, chars, term, payload, header, row) -> Re
     main_ln = None
     in_range = False
     if qy.n >= 2 and qy.k >= 1:
-        try:
-            main_ln = term().ln_abs
-            in_range = True
-        except OutsideProvenRangeError:
-            main_ln = term(override=True).ln_abs
+        try:  # the override retry, too, may find the term undefined
+            try:
+                main_ln = term()
+                in_range = True
+            except OutsideProvenRangeError:
+                main_ln = term(override=True)
         except UndefinedMainTermError:
             pass
     payload.update(exact=str(exact), char_path=str(char_path), paths_agree=True,
@@ -447,11 +448,11 @@ def cmd_qlimit(args) -> Report:
     row = [n, k, float(s)]
     header = ["n", "k", "sum"]
     if q is not None:
-        m = qlimit_count(q, n, k)
+        ln_count = qlimit_count(q, n, k)
         payload["q"] = q
-        payload["count_lnAbs"] = m.ln_abs
+        payload["count_lnAbs"] = ln_count
         header += ["q", "count_lnAbs"]
-        row += [q, m.ln_abs]
+        row += [q, ln_count]
     return Report(payload, tuple(header), [tuple(row)])
 
 

@@ -6,10 +6,11 @@ from fractions import Fraction
 
 import pytest
 
+from ffcount import asym
 from ffcount.algebra import Poly, factor_stats, field, parse_poly, phi_poly
 from ffcount.asym import (
     AnalyticConfig,
-    Magnitude,
+    _thm3,
     admissible_range,
     bigG,
     bigGd,
@@ -22,13 +23,13 @@ from ffcount.asym import (
     main_term_thm1,
     main_term_thm2,
     main_term_thm3,
-    main_term_thm3_terms,
     qlimit_count,
     qlimit_sum,
     ratio_to_main,
     thm3_normalized_error,
     truncation_depth,
 )
+from ffcount.errors import UndefinedMainTermError
 
 F2 = field(2)
 F3 = field(3)
@@ -84,18 +85,21 @@ def test_euler_product_at_zero_and_one():
     assert abs(euler_F(1.0, 2) - 0.5) <= 1e-10
 
 
-def test_euler_product_truncation_stability():
-    cfg = AnalyticConfig()
+def test_euler_product_truncation_stability(monkeypatch):
+    # the tail past the default depth is certified below TAIL_TOL: a
+    # tolerance q^5 times smaller, five degrees deeper, moves no value more
     grid = [complex(re, im)
             for re in (-1.9, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0)
             for im in (-1.5, 0.0, 0.7, 1.9)
             if abs(complex(re, im)) <= 2.0]
     for q in (2, 3, 5, 9):
-        D0 = truncation_depth(q, cfg, 2.0)
-        shallow = AnalyticConfig(D=D0)
-        deep = AnalyticConfig(D=D0 + 5)
-        for z in grid:
-            assert abs(euler_F(z, q, shallow) - euler_F(z, q, deep)) <= 1e-12
+        D0 = truncation_depth(q, None, 2.0)
+        default = [euler_F(z, q) for z in grid]
+        monkeypatch.setattr(asym, "TAIL_TOL", asym.TAIL_TOL * q ** -5)
+        assert truncation_depth(q, None, 2.0) == D0 + 5
+        for z, shallow in zip(grid, default):
+            assert abs(shallow - euler_F(z, q)) <= 1e-12
+        monkeypatch.undo()
 
 
 def test_euler_product_flags_local_zero():
@@ -110,22 +114,26 @@ def test_euler_product_conjugate_symmetry():
     assert abs(euler_F(z.conjugate(), 3) - euler_F(z, 3).conjugate()) <= 1e-14
 
 
-def test_truncation_depth_controls():
-    cfg = AnalyticConfig(D=7)
-    assert truncation_depth(2, cfg) == 7
-    loose = truncation_depth(2, AnalyticConfig(tail_tol=1e-6))
-    tight = truncation_depth(2, AnalyticConfig(tail_tol=1e-14))
+def test_truncation_depth_controls(monkeypatch):
+    monkeypatch.setattr(asym, "TAIL_TOL", 1e-6)
+    loose = truncation_depth(2)
+    monkeypatch.setattr(asym, "TAIL_TOL", 1e-14)
+    tight = truncation_depth(2)
     assert tight > loose >= 1
+    assert truncation_depth(2, AnalyticConfig(A=1e6)) > tight
 
 
 def test_q_past_the_double_range_is_a_value_error_naming_q():
     # (10^24 + 7)^13 is about 1e312: float(q) would overflow
     q = (10**24 + 7) ** 13
     for call in (lambda: euler_F(0.5, q), lambda: truncation_depth(q),
-                 lambda: main_term_thm1(q, 3, 2)):
+                 lambda: main_term_thm1(q, 3, 2), lambda: bigH(0.5, q),
+                 lambda: main_term_thm3(q, 10, 2, 9),
+                 lambda: thm3_normalized_error(1, q, 10, 2, 9)):
         with pytest.raises(ValueError, match=f"q = {q} exceeds the double range"):
             call()
-    assert qlimit_count(q, 3, 2).sign == 1  # log space only, no float of q
+    # log space only, no float of q
+    assert abs(qlimit_count(q, 3, 2) - (3 * math.log(q) - math.log(3) + math.log(1.5))) <= 1e-9
 
 
 def test_g_and_h_normalization_at_zero():
@@ -155,22 +163,20 @@ def test_divisor_correction_ignores_multiplicity():
 
 def test_main_term_thm1_prime_case():
     m = main_term_thm1(2, 100, 1)
-    assert m.sign == 1
-    assert abs(math.exp(m.ln_abs) / (2**100 / 100) - 1.0) <= 1e-12
+    assert abs(math.exp(m) / (2**100 / 100) - 1.0) <= 1e-12
     assert abs(ratio_to_main(2**100, m) - 100.0) <= 1e-10
 
 
 def test_main_term_thm1_range_guard():
     with pytest.raises(ValueError):
         main_term_thm1(2, 50, 30)
-    m = main_term_thm1(2, 50, 30, override=True)
-    assert m.sign == 1
+    assert math.isfinite(main_term_thm1(2, 50, 30, override=True))
 
 
 def test_main_term_thm2_hand_value():
     d = Poly.x(F3)
     m = main_term_thm2(50, 1, d, override=True)
-    assert abs(math.exp(m.ln_abs) / (3**50 / (2 * 50)) - 1.0) <= 1e-12
+    assert abs(math.exp(m) / (3**50 / (2 * 50)) - 1.0) <= 1e-12
 
 
 def test_main_term_thm2_prefactor_identity_exact():
@@ -191,20 +197,19 @@ def test_main_term_thm2_range_guard():
 
 def test_main_term_thm3_prime_case_and_terms():
     m = main_term_thm3(2, 50, 1, 30, override=True)
-    assert abs(math.exp(m.ln_abs) / (2**31 / 50) - 1.0) <= 1e-12
-    first, second = main_term_thm3_terms(2, 50, 1, 30, override=True)
-    assert second.sign == 0
-    assert abs(first.ln_abs - m.ln_abs) <= 1e-14
-    f2, s2 = main_term_thm3_terms(2, 50, 2, 30, override=True)
-    assert s2.sign == 1
+    assert abs(math.exp(m) / (2**31 / 50) - 1.0) <= 1e-12
+    ln_unit, brackets = _thm3(2, 50, 1, 30, None, override=True)
+    assert len(brackets) == 1  # k = 1: no second bracket
+    assert abs(ln_unit + math.log(brackets[0]) - m) <= 1e-14
+    ln_unit, (first, second) = _thm3(2, 50, 2, 30, None, override=True)
+    assert 0 < second < first
     total = main_term_thm3(2, 50, 2, 30, override=True)
-    assert abs((f2 + s2).ln_abs - total.ln_abs) <= 1e-14
+    assert abs(ln_unit + math.log(first + second) - total) <= 1e-13
 
 
 def test_main_term_thm3_degenerate_full_interval_allowed():
     # h = n-1 needs no override regardless of the proven bound
-    m = main_term_thm3(2, 10, 2, 9)
-    assert m.sign == 1
+    assert math.isfinite(main_term_thm3(2, 10, 2, 9))
 
 
 def test_main_term_thm3_domain_errors():
@@ -221,11 +226,11 @@ def test_thm3_at_degree_two_past_two_factors_is_a_value_error():
     for k in (3, 4):
         for h in (0, 1):
             with pytest.raises(ValueError, match="undefined"):
-                main_term_thm3_terms(2, 2, k, h, override=True)
+                main_term_thm3(2, 2, k, h, override=True)
             with pytest.raises(ValueError, match="undefined"):
                 thm3_normalized_error(0, 3, 2, k, h)
-    first, second = main_term_thm3_terms(2, 2, 2, 1)
-    assert first.sign == second.sign == 1
+    _, brackets = _thm3(2, 2, 2, 1, None, override=False)
+    assert len(brackets) == 2 and min(brackets) > 0
     assert thm3_normalized_error(1, 2, 2, 2, 1) >= 0
 
 
@@ -263,8 +268,7 @@ def test_qlimit_sum_hand_values():
 def test_qlimit_count_magnitude():
     m = qlimit_count(101, 5, 2)
     want = 101**5 / 5 * (25 / 12)
-    assert m.sign == 1
-    assert abs(math.exp(m.ln_abs) / want - 1.0) <= 1e-12
+    assert abs(math.exp(m) / want - 1.0) <= 1e-12
 
 
 def test_qlimit_sum_approaches_log_power():
@@ -273,41 +277,25 @@ def test_qlimit_sum_approaches_log_power():
     assert abs(s / math.log(400) - 1.0) <= 0.2
 
 
-def _value(m: Magnitude) -> float:
-    return m.sign * math.exp(m.ln_abs)
-
-
-def test_magnitude_arithmetic():
-    a = Magnitude.from_float(3.0)
-    b = Magnitude.from_float(-2.0)
-    assert abs(_value(a * b) + 6.0) <= 1e-12
-    assert abs(_value(a / b) + 1.5) <= 1e-12
-    assert abs(_value(a + b) - 1.0) <= 1e-12
-    assert abs(_value(a - b) - 5.0) <= 1e-12
-    assert (a - a).sign == 0
-    assert (-a).sign == -1
-    z = Magnitude.zero()
-    assert abs(_value(a + z) - 3.0) <= 1e-12
-    assert (a * z).sign == 0
-    with pytest.raises(ZeroDivisionError):
-        a / z
-
-
-def test_magnitude_from_big_exact():
-    m = Magnitude.from_exact(10**400)
-    assert abs(m.ln_abs - 400 * math.log(10)) <= 1e-9 * m.ln_abs
-    f = Magnitude.from_exact(Fraction(-3, 7))
-    assert f.sign == -1
-    assert abs(f.ln_abs - math.log(3 / 7)) <= 1e-12
-    assert Magnitude.from_exact(0).sign == 0
-
-
 def test_ratio_to_main_big_integers():
-    main = Magnitude.from_ln(300 * math.log(10))
-    assert abs(ratio_to_main(10**300, main) - 1.0) <= 1e-9
-    assert ratio_to_main(0, main) == 0.0
+    ln_main = 300 * math.log(10)
+    assert abs(ratio_to_main(10**300, ln_main) - 1.0) <= 1e-9
+    assert abs(ratio_to_main(Fraction(10**400, 10**100), ln_main) - 1.0) <= 1e-9
+    assert ratio_to_main(0, ln_main) == 0.0
     with pytest.raises(ValueError):
-        ratio_to_main(5, Magnitude.zero())
+        ratio_to_main(-5, ln_main)
+
+
+def test_main_term_outside_the_double_range_is_undefined():
+    # G(r) underflows to 0 near r = 130; the Lanczos gamma overflows past 141
+    x = Poly.x(F3)
+    for call in (lambda: main_term_thm1(2, 10, 300, override=True),
+                 lambda: main_term_thm1(2, 10, 400, override=True),
+                 lambda: main_term_thm2(4, 300, x, override=True),
+                 lambda: main_term_thm3(2, 4, 1000, 2, override=True),
+                 lambda: thm3_normalized_error(0, 2, 4, 1000, 2)):
+        with pytest.raises(UndefinedMainTermError, match="outside the double range"):
+            call()
 
 
 def test_ln_exact_inputs():
@@ -331,9 +319,7 @@ def test_dz_asymptotic_ratio_hand_values():
 
 
 def test_analytic_config_validation():
-    with pytest.raises(ValueError):
-        AnalyticConfig(A=1.0)
-    with pytest.raises(ValueError):
-        AnalyticConfig(D=0)
-    with pytest.raises(ValueError):
-        AnalyticConfig(tail_tol=0.0)
+    assert AnalyticConfig._fields == ("A",)
+    for bad in (1.0, 1e101, float("nan")):
+        with pytest.raises(ValueError):
+            AnalyticConfig(A=bad)

@@ -11,7 +11,6 @@ import pytest
 from ffcount import algebra, apinterval, characters, cli
 from ffcount.algebra import FieldSpec, Poly, parse_poly
 from ffcount.apinterval import APQuery, IntervalQuery, ap_enumerate, interval_enumerate
-from ffcount.asym import Magnitude
 from ffcount.errors import OutsideProvenRangeError, UndefinedMainTermError
 from ffcount.exactcount import (
     brute_force_count,
@@ -155,23 +154,28 @@ def test_dual_path_mismatch_exits_4(monkeypatch, capsys):
 
 def test_main_term_errors_are_told_apart_by_type(monkeypatch, capsys):
     # the override type takes the override path whatever its message says,
-    # the undefined type reports no main term, and any other ValueError
-    # exits 2 even when its message asks for override
+    # the undefined type reports no main term, also from the override retry,
+    # and any other ValueError exits 2 even when its message asks for override
     argv = ["ap", "--q", "2", "--d", "1,1,1", "--g", "1", "--n", "6", "--k", "2"]
 
-    def raising(exc):
+    def term_giving(plain, overridden):
         def term(n, k, d, cfg, override=False):
-            if override and isinstance(exc, OutsideProvenRangeError):
-                return Magnitude.from_ln(1.5)
-            raise exc
+            got = overridden if override else plain
+            if isinstance(got, Exception):
+                raise got
+            return got
         return term
 
-    for exc, code, main_ln in ((OutsideProvenRangeError("no words to match"), 0, 1.5),
-                               (UndefinedMainTermError("no words to match"), 0, None),
-                               (ValueError("outside the proven range; pass override"), 2, None)):
-        monkeypatch.setattr(cli, "main_term_thm2", raising(exc))
+    outside = OutsideProvenRangeError("no words to match")
+    undefined = UndefinedMainTermError("no words to match")
+    for plain, overridden, code, main_ln in (
+            (outside, 1.5, 0, 1.5),
+            (outside, undefined, 0, None),
+            (undefined, 1.5, 0, None),
+            (ValueError("outside the proven range; pass override"), 1.5, 2, None)):
+        monkeypatch.setattr(cli, "main_term_thm2", term_giving(plain, overridden))
         got, out, _ = run_cli(capsys, argv)
-        assert got == code, exc
+        assert got == code, (plain, overridden)
         if code == 0:
             payload = json.loads(out)
             assert payload["main_term_lnAbs"] == main_ln
@@ -287,6 +291,27 @@ def test_every_fixed_cap_exits_3_naming_it(capsys, argv, message):
     assert time.monotonic() - t0 < 10
     assert (code, out) == (3, "")
     assert err.startswith("ffcount: budget exceeded: ") and message in err, err
+
+
+@pytest.mark.parametrize("argv, code", [
+    ("asym --q 2 --n 10 --k 300 --override", 2),
+    ("asym --q 2 --n 10 --k 400 --override", 2),
+    ("compare --q 2 --n 10 --k 300 --A 1000", 2),
+    ("compare --q 2 --n 10 --k 400 --A 1000", 2),
+    ("ap --q 3 --d 0,1 --g 1 --n 4 --k 300", 0),
+    ("interval --q 2 --g 1,0,0,0,1 --h 2 --k 1000", 0),
+])
+def test_main_term_outside_the_double_range(capsys, argv, code):
+    # G(r) underflows to 0 near r = 130 and the Lanczos gamma overflows past
+    # r = 141: asym and compare refuse the term, ap and interval report null
+    got, out, err = run_cli(capsys, argv.split())
+    assert got == code, err
+    if code == 2:
+        assert out == "" and "main term is outside the double range" in err, err
+    else:
+        payload = json.loads(out)
+        assert payload["main_term_lnAbs"] is None
+        assert payload["in_proven_range"] is False
 
 
 @pytest.mark.parametrize("A", ["inf", "1e308", "1e200", "nan", "1"])

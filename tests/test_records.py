@@ -6,7 +6,7 @@ import pytest
 
 from ffcount.algebra import FactorStats, FieldSpec, parse_poly
 from ffcount.apinterval import APQuery, IntervalQuery
-from ffcount.asym import AnalyticConfig, Magnitude
+from ffcount.asym import AnalyticConfig
 from ffcount.characters import LPoly
 from ffcount.cli import Report
 from ffcount.exactcount import OmegaMoments
@@ -26,10 +26,7 @@ RECORDS = [
         {"g": parse_poly(F2, "1")}]),
     (IntervalQuery, {"n": 5, "k": 1, "g": X5, "h": 2}, {}, [
         {"n": 4}, {"k": -1}, {"h": -1}, {"h": 5}, {"g": parse_poly(F3, "1,0,0,0,0,2")}]),
-    (Magnitude, {"sign": -1, "ln_abs": 0.5}, {}, []),
-    (AnalyticConfig, {"A": 3.0, "D": 4, "tail_tol": 1e-9},
-     {"A": 2.0, "D": None, "tail_tol": 1e-12},
-     [{"A": 1.0}, {"A": float("nan")}, {"D": 0}, {"tail_tol": 0.0}]),
+    (AnalyticConfig, {"A": 3.0}, {"A": 2.0}, [{"A": 1.0}, {"A": float("nan")}, {"A": 1e101}]),
     (OmegaMoments, {"mean": Fraction(3, 2), "variance": Fraction(1, 4),
                     "histogram": {1: 2, 2: 2}}, {}, []),
     (LPoly, {"exponents": (1,), "coeffs": (1, 1j), "effective_degree": 1,
@@ -55,7 +52,7 @@ def test_record_contract(cls, values, defaults, rejected):
         with pytest.raises(AttributeError):
             setattr(rec, name, 0)
     # equality and hashing go by field
-    second = list(values)[1]
+    second = list(values)[min(1, len(values) - 1)]  # the first of a one-field record
     assert rec != cls(**{**values, second: values[second] * 2})
     try:
         expected = hash(tuple(values.values()))
