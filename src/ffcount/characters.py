@@ -34,21 +34,23 @@ Representation conventions used throughout this module:
   dlog t is zeta_E raised to sum_i e_i t_i E/n_i, symmetric in e and t.
   Values stay exact: integers modulo the group exponent E, or residues
   mod a prime P = 1 (mod E), where zeta_E maps to a fixed element of
-  exact order E.  Exact zero tests for sums of roots of unity ask whether
-  the E-th cyclotomic polynomial divides the integer count polynomial, so
-  orthogonality checks carry no float tolerance at all.
+  exact order E.  F_P is the one exact arithmetic of the module.
 * L-polynomial coefficients are indexed from degree 0 with c_0 = 1 (the
   single degree-0 monic, value 1 under every character); the coefficient
-  list runs to degree m-1 and the effective degree is found by the exact
-  zero test above.  Inverse roots come from a deterministic simultaneous
-  (Durand-Kerner) iteration on the reversed polynomial.
+  list runs to degree m-1.  The effective degree is exact by the F_P
+  orbit rule: with P > q^(m-1), c_j(chi) = 0 exactly when c_j(chi^a) = 0
+  mod P for every a prime to the order of chi, so the degree of L(T, chi)
+  is the largest j at which some member of chi's Galois orbit is nonzero
+  mod P (proof at _l_coefficients).  Inverse roots come from a
+  deterministic simultaneous (Durand-Kerner) iteration on the reversed
+  polynomial.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from collections import namedtuple
+from collections import Counter, namedtuple
 from functools import lru_cache
 from operator import add, mul, sub
 
@@ -71,10 +73,8 @@ __all__ = [
     "DEFAULT_GROUP_BUDGET",
     "LPoly",
     "UnitGroup",
-    "cyclotomic_polynomial",
     "l_polynomial",
     "root_of_unity",
-    "root_unity_sum_is_zero",
     "twisted_series",
     "unit_group",
     "weil_check",
@@ -84,68 +84,6 @@ __all__ = [
 DEFAULT_GROUP_BUDGET = 100_000
 
 L_COEFF_NOTE = "coefficients indexed from degree 0; constant coefficient is 1"
-
-
-@lru_cache(maxsize=None)
-def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
-    """Integer coefficients of the n-th cyclotomic polynomial, ascending.
-
-    The dense reduction modulo this polynomial is the test oracle of
-    root_unity_sum_is_zero.
-    """
-    if n < 1:
-        raise ValueError("n must be positive")
-    # (x^n - 1) divided by the product of lower cyclotomics, exactly
-    num = [-1] + [0] * (n - 1) + [1]
-    for d in range(1, n):
-        if n % d:
-            continue
-        div = cyclotomic_polynomial(d)
-        out = [0] * (len(num) - len(div) + 1)
-        rem = list(num)
-        for i in range(len(out) - 1, -1, -1):
-            c = rem[i + len(div) - 1]
-            out[i] = c
-            if c:
-                for j, dc in enumerate(div):
-                    rem[i + j] -= c * dc
-        assert all(v == 0 for v in rem[: len(div) - 1])
-        num = out
-    return tuple(num)
-
-
-def root_unity_sum_is_zero(counts, order: int) -> bool:
-    """Exact test: does sum of counts[e] * zeta^e vanish, zeta = e^(2pi i/order)?
-
-    The sum vanishes exactly when Phi_order divides the count polynomial C,
-    folded modulo x^order - 1.  With r the radical of order and t = order/r,
-    Phi_order(x) = Phi_r(x^t) and Phi_r = prod over d | r of
-    (x^d - 1)^mu(r/d), so Phi_order divides C exactly when the binomials
-    x^(dt) - 1 with mu = +1 divide C times those with mu = -1.  x^s - 1
-    divides a polynomial exactly when each of its residue classes of
-    exponents mod s sums to zero, and the quotient's coefficients are the
-    suffix sums of those classes.  Each step costs O(order), so the test
-    is linear in order for a fixed number of prime factors.
-    """
-    poly = [0] * order
-    for e, c in enumerate(counts):
-        poly[e % order] += c
-    primes = list(_int_factorization(order))
-    t = order // math.prod(primes)
-    binomials = [(t, (-1) ** len(primes))]  # (d t, mu(r/d)) for each d | r
-    for p in primes:
-        binomials += [(s * p, -mu) for s, mu in binomials]
-    for s, mu in binomials:
-        if mu < 0:
-            poly = [a - b for a, b in zip([0] * s + poly, poly + [0] * s)]
-    for s, mu in binomials:
-        if mu > 0:
-            for i in range(len(poly) - s - 1, -1, -1):
-                poly[i] += poly[i + s]
-            if any(poly[:s]):
-                return False
-            del poly[:s]
-    return True
 
 
 def _power(mul, identity, x, t: int):
@@ -502,47 +440,79 @@ class LPoly(namedtuple("LPoly", "exponents coeffs effective_degree inverse_roots
     __slots__ = ()
 
 
-def _l_coefficient_counts(group: UnitGroup, c: int) -> list[list[int]]:
-    """Character c summed over the monics of each degree j < m, as root-of-unity counts.
-
-    Monics not coprime to d have value 0, so only the monic residues count.
-    """
-    values = _char_exponents(group, group.dlog(c))
-    rows = []
-    for residues in group.monic_residues:
-        counts = [0] * group.exponent
-        for idx in residues:
-            counts[values[idx]] += 1
-        rows.append(counts)
-    return rows
-
-
 @lru_cache(maxsize=None)
-def _unit_roots(E: int) -> tuple[complex, ...]:
-    """exp(2 pi i e / E) for e = 0..E-1, as _counts_to_complex weighs them."""
-    return tuple(cmath.exp(2j * math.pi * e / E) for e in range(E))
+def _l_coefficients(group: UnitGroup):
+    """Complex coefficients c_0..c_(m-1) of L(T, chi) and its degree, by character index.
 
+    c_j sums chi over monic_residues[j]; monics not coprime to d have
+    value 0.  Each character's value exponents there are counted once, and
+    the counts are evaluated twice: at zeta_E = e^(2 pi i/E), adding
+    n * zeta^e in ascending e, for the complex c_j, and at zeta_E = w, the
+    root_of_unity modulo the first word prime P, for the degree.  Index 0,
+    the principal character, has neither.
 
-def _counts_to_complex(counts: list[int], E: int) -> complex:
-    acc = 0j
-    for c, z in zip(counts, _unit_roots(E)):
-        if c:
-            acc += c * z
-    return acc
+    The degree is exact.  Let chi have order n, so alpha = c_j(chi) lies in
+    Z[zeta_n], and its Galois conjugates sigma_a(alpha), gcd(a, n) = 1, are
+    the c_j(chi^a).  P = 1 (mod n) splits completely in Z[zeta_n]: the
+    primes above it are the kernels of the maps zeta_n -> w^(aE/n), and
+    their product is P Z[zeta_n].  If c_j(chi^a) = 0 mod P for every a,
+    alpha lies in all of them, so alpha = P beta with beta integral.  A
+    nonzero beta has a norm of absolute value at least 1, so the norm of
+    alpha would be at least P^phi(n); but each conjugate is a sum of at
+    most q^j roots of unity, so that norm is at most q^(j phi(n)), less
+    than P^phi(n) once P > q^j.  Hence alpha = 0 (Washington, GTM 83,
+    ch. 2).  An exact zero is zero mod P too, so the degree of L(T, chi)
+    (Rosen, GTM 210, ch. 4), the largest j with c_j(chi) != 0, is the
+    largest j at which some member of the orbit {chi^a} is nonzero mod P,
+    and P > q^(m-1) serves every j < m.
+    """
+    E, order = group.exponent, group.order
+    P = next(word_primes(E))
+    if P <= group.q ** (group.m - 1):
+        raise ConsistencyError(
+            f"prime {P} does not exceed q^(m-1) = {group.q ** (group.m - 1)}, "
+            "so it cannot fix the L-polynomial degrees")
+    w = root_of_unity(E, P)
+    powers = [pow(w, e, P) for e in range(E)]
+    zetas = [cmath.exp(2j * math.pi * e / E) for e in range(E)]
+    coeffs, top = [None], [None]
+    for c in range(1, order):
+        values = _char_exponents(group, group.dlog(c))
+        rows = [sorted(Counter(map(values.__getitem__, residues)).items())
+                for residues in group.monic_residues]
+        row = []
+        for counts in rows:
+            # an explicit loop: sum() adds floats with compensation from
+            # Python 3.12 on, which would move the last bits
+            acc = 0j
+            for e, n in counts:
+                acc += n * zetas[e]
+            row.append(acc)
+        coeffs.append(tuple(row))
+        # the top degree at which chi itself is nonzero mod P; c_0 = 1
+        top.append(next((j for j in range(group.m - 1, 0, -1)
+                         if sum(n * powers[e] for e, n in rows[j]) % P), 0))
+    # the degree of chi is the largest top over its orbit, walked once
+    degrees = [None] * order
+    for c in range(1, order):
+        if degrees[c] is None:
+            n, x, orbit = group.element_order(c), c, []
+            for a in range(1, n):
+                if math.gcd(a, n) == 1:
+                    orbit.append(x)
+                x = group.mul(x, c)
+            degree = max(top[x] for x in orbit)
+            for x in orbit:
+                degrees[x] = degree
+    return coeffs, degrees
 
 
 def l_polynomial(group: UnitGroup, c: int) -> LPoly:
     """Coefficients and inverse roots of L(T, chi) for the character of index c > 0."""
     if not 0 < c < group.order:
         raise ValueError(f"character index {c} is not in 1..{group.order - 1}")
-    E = group.exponent
-    count_rows = _l_coefficient_counts(group, c)
-    coeffs = tuple(_counts_to_complex(row, E) for row in count_rows)
-    eff = 0
-    for j in range(group.m - 1, -1, -1):
-        if not root_unity_sum_is_zero(count_rows[j], E):
-            eff = j
-            break
+    rows, degrees = _l_coefficients(group)
+    coeffs, eff = rows[c], degrees[c]
     # inverse roots are the zeros of the reversed polynomial
     # y^eff + c_1 y^(eff-1) + ... + c_eff  (c_0 = 1 keeps it monic)
     rev = [coeffs[eff - i] for i in range(eff + 1)]

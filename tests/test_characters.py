@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+import cmath
+import math
 import random
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
@@ -23,15 +27,14 @@ from ffcount.characters import (
     DEFAULT_GROUP_BUDGET,
     CharacterSums,
     UnitGroup,
-    cyclotomic_polynomial,
     l_polynomial,
     root_of_unity,
-    root_unity_sum_is_zero,
     twisted_series,
     unit_group,
     weil_check,
     word_primes,
 )
+from ffcount.cli import main
 from ffcount.errors import BudgetExceededError, ConsistencyError
 
 F2 = field(2)
@@ -300,7 +303,7 @@ def test_character_index_validation():
 
 def test_orthogonality_over_group_exact(char_value):
     # sum over the group of chi is 0 for non-principal chi, order for principal,
-    # established with the exact root-of-unity zero test, no float tolerance
+    # established with the dense cyclotomic reduction, no float tolerance
     for fld, d_text in _CHAR_MODULI:
         g = unit_group(_p(fld, d_text))
         rows = _value_rows(g)
@@ -312,7 +315,7 @@ def test_orthogonality_over_group_exact(char_value):
             if c == 0:
                 assert counts[0] == g.order
             else:
-                assert root_unity_sum_is_zero(counts, g.exponent)
+                assert _dense_zero_test(counts, g.exponent)
 
 
 def test_orthogonality_over_characters():
@@ -330,10 +333,80 @@ def test_orthogonality_over_characters():
                 if i == j:
                     assert counts[0] == g.order
                 else:
-                    assert root_unity_sum_is_zero(counts, E)
+                    assert _dense_zero_test(counts, E)
 
 
-# -- cyclotomic reduction helpers ----------------------------------------------
+# -- exact zero tests for sums of roots of unity ---------------------------------
+
+
+@lru_cache(maxsize=None)
+def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
+    """Integer coefficients of the n-th cyclotomic polynomial, ascending."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    # (x^n - 1) divided by the product of lower cyclotomics, exactly
+    num = [-1] + [0] * (n - 1) + [1]
+    for d in range(1, n):
+        if n % d:
+            continue
+        div = cyclotomic_polynomial(d)
+        out = [0] * (len(num) - len(div) + 1)
+        rem = list(num)
+        for i in range(len(out) - 1, -1, -1):
+            c = rem[i + len(div) - 1]
+            out[i] = c
+            if c:
+                for j, dc in enumerate(div):
+                    rem[i + j] -= c * dc
+        assert all(v == 0 for v in rem[: len(div) - 1])
+        num = out
+    return tuple(num)
+
+
+def _dense_zero_test(counts, order):
+    """Does sum counts[e] zeta^e vanish, zeta = e^(2 pi i/order)?  The test
+    oracle: Phi_order divides the count polynomial folded mod x^order - 1."""
+    rem = [0] * order
+    for e, c in enumerate(counts):
+        rem[e % order] += c
+    cyc = cyclotomic_polynomial(order)
+    deg = len(cyc) - 1
+    for i in range(order - 1, deg - 1, -1):
+        c = rem[i]
+        if c:
+            for j, dc in enumerate(cyc):
+                rem[i - deg + j] -= c * dc
+    return not any(rem[:deg])
+
+
+def _fp_orbit_zero_test(counts, order):
+    """The F_P orbit rule that fixes L-degrees, on one sum of roots of unity:
+    with P the first word prime for the order and P > sum |counts|, the sum
+    vanishes exactly when its image under zeta -> w^a vanishes mod P for
+    every a prime to the order.  It reads only the nonzero counts."""
+    P = next(word_primes(order))
+    assert P > sum(map(abs, counts))
+    w = root_of_unity(order, P)
+    folded = Counter()
+    for e, c in enumerate(counts):
+        if c:
+            folded[e % order] += c
+    powers = [pow(w, e, P) for e in range(order)]
+    return all(sum(c * powers[a * e % order] for e, c in folded.items()) % P == 0
+               for a in range(1, order + 1) if math.gcd(a, order) == 1)
+
+
+def _short_zero(P, t):
+    """The shortest (a, b) with a + b t = 0 mod P, by Lagrange reduction; for
+    t^2 = -1 mod P it has a^2 + b^2 = P."""
+    def norm(v):
+        return v[0] * v[0] + v[1] * v[1]
+
+    u, v = sorted([(P, 0), (-t, 1)], key=norm, reverse=True)
+    while norm(u) > norm(v):
+        k = (2 * (u[0] * v[0] + u[1] * v[1]) + norm(v)) // (2 * norm(v))
+        u, v = v, (u[0] - k * v[0], u[1] - k * v[1])
+    return u
 
 
 def test_cyclotomic_polynomials_hand_values():
@@ -349,48 +422,42 @@ def test_cyclotomic_polynomials_hand_values():
 
 
 def test_root_unity_sum_zero_test():
-    assert root_unity_sum_is_zero([1, 1, 1, 1], 4) is True  # 1+i-1-i
-    assert root_unity_sum_is_zero([2, 1, 1, 1], 4) is False
-    assert root_unity_sum_is_zero([0, 0, 0, 0], 4) is True
-    assert root_unity_sum_is_zero([1, 0, 1, 0, 1, 0], 6) is True  # 1+z^2+z^4, z=e^(pi i/3)
-    assert root_unity_sum_is_zero([5], 1) is False
-    # sums congruent mod the order fold together: z^5 = z for order 4
-    assert root_unity_sum_is_zero([1, 1, 1, 1, 0, 1], 4) is False
-
-
-def _dense_zero_test(counts, order):
-    """The reduction modulo the dense cyclotomic polynomial, as the oracle."""
-    rem = [0] * order
-    for e, c in enumerate(counts):
-        rem[e % order] += c
-    cyc = cyclotomic_polynomial(order)
-    deg = len(cyc) - 1
-    for i in range(order - 1, deg - 1, -1):
-        c = rem[i]
-        if c:
-            for j, dc in enumerate(cyc):
-                rem[i - deg + j] -= c * dc
-    return not any(rem[:deg])
+    for zero_test in (_dense_zero_test, _fp_orbit_zero_test):
+        assert zero_test([1, 1, 1, 1], 4) is True  # 1+i-1-i
+        assert zero_test([2, 1, 1, 1], 4) is False
+        assert zero_test([0, 0, 0, 0], 4) is True
+        assert zero_test([1, 0, 1, 0, 1, 0], 6) is True  # 1+z^2+z^4, z=e^(pi i/3)
+        assert zero_test([5], 1) is False
+        # sums congruent mod the order fold together: z^5 = z for order 4
+        assert zero_test([1, 1, 1, 1, 0, 1], 4) is False
+    # one embedding is not a zero test: a + b i with a + b w = 0 mod P
+    # reads nonzero only under the conjugate embedding i -> w^3 = -w
+    P = next(word_primes(4))
+    w = root_of_unity(4, P)
+    a, b = _short_zero(P, w)
+    assert (a + b * w) % P == 0 and (a - b * w) % P != 0
+    assert _fp_orbit_zero_test([a, b], 4) is _dense_zero_test([a, b], 4) is False
 
 
 @pytest.mark.parametrize("order", [*range(1, 65), 242, 511, 2047, 4092])
 def test_sparse_zero_test_matches_the_dense_reduction(order):
+    # the sparse zero test is the F_P orbit rule
     rng = random.Random(order)
     cyc = cyclotomic_polynomial(order)
     for _ in range(2):
         # random counts, some longer than the order so that they fold
         counts = [rng.randrange(-2, 3) * rng.randrange(2) for _ in range(order + rng.randrange(3))]
-        assert root_unity_sum_is_zero(counts, order) is _dense_zero_test(counts, order)
+        assert _fp_orbit_zero_test(counts, order) is _dense_zero_test(counts, order)
         # a constructed zero: a few shifted multiples of Phi_order, folded
         zero = [0] * (2 * order)
         for _ in range(3):
             shift, scale = rng.randrange(order), rng.randrange(1, 10**12)
             for j, c in enumerate(cyc):
                 zero[shift + j] += scale * c
-        assert root_unity_sum_is_zero(zero, order) is _dense_zero_test(zero, order) is True
+        assert _fp_orbit_zero_test(zero, order) is _dense_zero_test(zero, order) is True
         # one more root of unity makes it nonzero
         zero[rng.randrange(2 * order)] += 1
-        assert root_unity_sum_is_zero(zero, order) is _dense_zero_test(zero, order) is False
+        assert _fp_orbit_zero_test(zero, order) is _dense_zero_test(zero, order) is False
 
 
 # -- L-polynomials ---------------------------------------------------------------
@@ -422,30 +489,40 @@ def test_l_polynomial_rejects_principal():
         l_polynomial(g, 0)
 
 
+def _dense_value(counts, E):
+    """sum of counts[e] e^(2 pi i e/E), walked over every slot in ascending e."""
+    acc = 0j
+    for e, n in enumerate(counts):
+        if n:
+            acc += n * cmath.exp(2j * math.pi * e / E)
+    return acc
+
+
 def test_l_constant_coefficient_is_one_and_degree_bound(char_value):
     for d in (_p(F3, "1,0,1"), _p(F2, "0,0,0,1"), _p(F3, "0,2,1"), _p(F2, "0,0,0,0,1"),
               _p(F3, "0,0,0,1")):
         g = unit_group(d)
+        rows, degrees = characters_module._l_coefficients(g)
         for c in range(1, g.order):
             lp = l_polynomial(g, c)
-            rows = characters_module._l_coefficient_counts(g, c)
+            assert lp.coeffs == rows[c] and lp.effective_degree == degrees[c]
             assert lp.coeffs[0] == 1
-            assert len(lp.coeffs) == len(rows) == g.m
+            assert len(lp.coeffs) == g.m
             assert lp.effective_degree <= g.m - 1
             assert len(lp.inverse_roots) == lp.effective_degree
-            # c_j is chi summed over the monics of degree j: the same
-            # root-of-unity counts, and the coefficient is their value
+            # c_j is chi summed over the monics of degree j: the value of
+            # their root-of-unity counts, to the bit, and the degree is the
+            # top j at which the dense reduction finds them nonzero
+            top = 0
             for j in range(g.m):
                 counts = [0] * g.exponent
                 for f in enumerate_monics(d.field, j):
                     e = _value_on(g, c, f, char_value)
                     if e is not None:
                         counts[e] += 1
-                assert rows[j] == counts
-                assert lp.coeffs[j] == characters_module._counts_to_complex(
-                    counts, g.exponent)
-            top = max(j for j in range(g.m)
-                      if not root_unity_sum_is_zero(rows[j], g.exponent))
+                assert lp.coeffs[j] == _dense_value(counts, g.exponent)
+                if not _dense_zero_test(counts, g.exponent):
+                    top = j
             assert lp.effective_degree == top
 
 
@@ -458,24 +535,114 @@ def test_character_sums_vanish_at_and_above_modulus_degree(char_value):
                 e = _value_on(g, c, f, char_value)
                 if e is not None:
                     counts[e] += 1
-            assert root_unity_sum_is_zero(counts, g.exponent)
+            assert _dense_zero_test(counts, g.exponent)
 
 
 def test_l_polynomial_conjugate_symmetry(char_value):
-    # the counts of conj(chi) are those of chi with exponents negated mod E
+    # the coefficients of conj(chi) are those of chi, conjugated
     for d in (_p(F3, "1,0,1"), _p(F2, "0,0,0,0,1")):
         g = unit_group(d)
         E = g.exponent
         values = [[char_value(g, c, u) for u in range(g.order)] for c in range(g.order)]
+        rows, degrees = characters_module._l_coefficients(g)
         for c in range(1, g.order):
             bar = values.index([-e % E for e in values[c]])
-            for a_row, b_row in zip(characters_module._l_coefficient_counts(g, c),
-                                    characters_module._l_coefficient_counts(g, bar)):
-                assert b_row == [a_row[-e % E] for e in range(E)]
+            assert degrees[c] == degrees[bar]
+            for x, y in zip(rows[c], rows[bar]):
+                assert abs(x.conjugate() - y) < 1e-12
             a, b = l_polynomial(g, c), l_polynomial(g, bar)
             assert a.effective_degree == b.effective_degree
             for x, y in zip(a.coeffs, b.coeffs):
                 assert abs(x.conjugate() - y) < 1e-12
+
+
+# moduli for the L-degree rule, with the total degree deficit of their characters
+_DEGREE_CASES = [
+    (F2, "0,0,0,0,0,0,0,0,0,0,1", 502),  # X^10
+    (F2, "0,0,0,0,0,0,0,0,0,0,0,0,1", 2036),  # X^12, order 2048
+    (F3, "0,0,0,0,1", 23),  # X^4
+    (F5, "0,0,0,1", 22),  # X^3
+    (F4, "0,0,0,1", 13),  # X^3
+    (F2, "0,0,0,1,1,1", 7),  # X^3 (X^2 + X + 1)
+    (F5, "0,0,1,1", 15),  # X^2 (X + 1)
+    (F2, "1,0,1,0,1", 4),  # (X^2 + X + 1)^2
+    (F3, "2,0,1,1,0,1", 0),
+    (F2, "1,1,0,1,0,0,0,1", 0),  # X^7 + X^3 + X + 1
+]
+
+
+def _dense_degrees(g):
+    """Each non-principal character's L-degree by the dense reduction, by index."""
+    E = g.exponent
+    out = [None]
+    for c in range(1, g.order):
+        values = characters_module._char_exponents(g, g.dlog(c))
+        for j in range(g.m - 1, -1, -1):
+            counts = [0] * E
+            for u in g.monic_residues[j]:
+                counts[values[u]] += 1
+            if not _dense_zero_test(counts, E):
+                break
+        out.append(j)
+    return out
+
+
+@pytest.mark.parametrize("fld,d_text,deficit", _DEGREE_CASES)
+def test_l_degree_matches_the_dense_reduction_on_every_character(fld, d_text, deficit):
+    g = unit_group(_p(fld, d_text))
+    _, degrees = characters_module._l_coefficients(g)
+    assert degrees == _dense_degrees(g)
+    assert sum(g.m - 1 - degree for degree in degrees[1:]) == deficit
+    # the degree is constant on each Galois orbit {chi^a : gcd(a, ord chi) = 1}
+    for c in range(1, g.order):
+        n = g.element_order(c)
+        assert all(degrees[g.power_map(a)[c]] == degrees[c]
+                   for a in range(2, n) if math.gcd(a, n) == 1)
+
+
+def test_a_zero_under_one_embedding_is_overruled_by_a_conjugate(monkeypatch):
+    # The top coefficient of L(T, chi) is, up to sign, the product of its
+    # inverse roots, which have absolute value 1 or sqrt(q) under every
+    # embedding (Weil), so its norm is a power of p and no word prime reads
+    # it as zero.  So the test builds such a zero.  On a fresh group mod X^2 + 1 over F_3
+    # (cyclic of order 8) with P = 97, the degree-1 residues are replaced
+    # by a multiset whose sum under a character chi of order 4 is a + b i,
+    # with a + b w^2 = 0 mod P: chi reads zero there, chi^3 does not, and
+    # a + b i is not zero, so both have degree 1.
+    g = UnitGroup(_p(F3, "1,0,1"))
+    E, P = g.exponent, 97
+    monkeypatch.setattr(characters_module, "word_primes", lambda E: iter([P]))
+    w = root_of_unity(E, P)
+    chi = next(c for c in range(1, g.order) if g.element_order(c) == 4)
+    chi3 = g.mul(chi, g.mul(chi, chi))
+    values = characters_module._char_exponents(g, g.dlog(chi))
+    one, i, minus_one, minus_i = (values.index(k * E // 4) for k in range(4))
+    a, b = _short_zero(P, pow(w, E // 4, P))
+    row = [one if a > 0 else minus_one] * abs(a) + [i if b > 0 else minus_i] * abs(b)
+    g.monic_residues = (g.monic_residues[0], tuple(row))
+
+    def reading(c):
+        vals = characters_module._char_exponents(g, g.dlog(c))
+        return sum(pow(w, vals[u], P) for u in row) % P
+
+    assert reading(chi) == 0 and reading(chi3) != 0
+    _, degrees = characters_module._l_coefficients(g)
+    assert degrees == _dense_degrees(g)
+    assert degrees[chi] == degrees[chi3] == 1
+
+
+def test_l_degrees_need_a_prime_above_q_to_the_m_minus_1(monkeypatch, capsys):
+    # mod X^6 over F_2, E = 8: the prime 17 = 1 (mod 8) does not exceed
+    # q^(m-1) = 32, so it cannot certify a zero coefficient
+    g = unit_group(_p(F2, "0,0,0,0,0,0,1"))
+    small = next(P for P in range(g.exponent + 1, g.q ** (g.m - 1) + 1, g.exponent)
+                 if _is_prime_mr(P))
+    monkeypatch.setattr(characters_module, "word_primes", lambda E: iter([small]))
+    characters_module._l_coefficients.cache_clear()
+    with pytest.raises(ConsistencyError):
+        l_polynomial(g, 1)
+    assert main(["weil", "--q", "2", "--d", "0,0,0,0,0,0,1"]) == 4
+    assert "consistency failure" in capsys.readouterr().err
 
 
 def test_weil_check_all_nonprincipal_small_moduli():
