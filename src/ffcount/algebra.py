@@ -124,14 +124,14 @@ def _field_modulus(p: int, e: int, modulus, limit: int | None = None):
 class FieldSpec:
     """A finite field F_{p^e} with canonical integer element encoding."""
 
-    __slots__ = ("p", "e", "q", "modulus", "_mul_t", "_inv_t", "_neg_t")
+    __slots__ = ("p", "e", "q", "modulus", "_mul_t", "_inv_t")
 
     def __init__(self, p: int, e: int = 1, modulus: tuple[int, ...] | None = None):
         self.modulus = _field_modulus(p, e, modulus, _EXTENSION_Q_LIMIT)
         if e > 1 and self.modulus is None:
             raise ValueError("an explicit irreducible modulus is required for e > 1")
         self.p, self.e, self.q = p, e, p**e
-        self._mul_t = self._inv_t = self._neg_t = None
+        self._mul_t = self._inv_t = None
         if e > 1:
             self._build_tables()
 
@@ -198,7 +198,6 @@ class FieldSpec:
             else:
                 raise ValueError("modulus is not irreducible (non-invertible element)")
         self._inv_t = inv_t
-        self._neg_t = [self._val([(-c) % p for c in self._vec(a)]) for a in range(q)]
 
     def add(self, a: int, b: int) -> int:
         if self.e == 1:
@@ -223,10 +222,6 @@ class FieldSpec:
         if self.e == 1:
             return pow(a, self.p - 2, self.p)
         return self._inv_t[a]
-
-    def embed_int(self, n: int) -> int:
-        """Image of the rational integer n in the prime subfield."""
-        return n % self.p
 
 
 @lru_cache(maxsize=None)
@@ -292,13 +287,6 @@ def _psub(f: FieldSpec, a: tuple, b: tuple) -> tuple:
         for i, c in enumerate(b):
             out[i] = sub(out[i], c)
     return _trim(out)
-
-
-def _pneg(f: FieldSpec, a: tuple) -> tuple:
-    if f.e == 1:
-        p = f.p
-        return tuple((-c) % p for c in a)
-    return tuple(f._neg_t[c] for c in a)
 
 
 def _pmul(f: FieldSpec, a: tuple, b: tuple) -> tuple:
@@ -456,9 +444,6 @@ class Poly:
         self._check_same_field(other)
         return Poly._raw(self.field, _psub(self.field, self.coeffs, other.coeffs))
 
-    def __neg__(self) -> "Poly":
-        return Poly._raw(self.field, _pneg(self.field, self.coeffs))
-
     def __mul__(self, other: "Poly") -> "Poly":
         self._check_same_field(other)
         return Poly._raw(self.field, _pmul(self.field, self.coeffs, other.coeffs))
@@ -467,9 +452,6 @@ class Poly:
         self._check_same_field(other)
         q, r = _pdivrem(self.field, self.coeffs, other.coeffs)
         return Poly._raw(self.field, q), Poly._raw(self.field, r)
-
-    def __floordiv__(self, other: "Poly") -> "Poly":
-        return divmod(self, other)[0]
 
     def __mod__(self, other: "Poly") -> "Poly":
         return divmod(self, other)[1]
@@ -486,7 +468,7 @@ class Poly:
         f = self.field
         out = []
         for i in range(1, len(self.coeffs)):
-            out.append(f.mul(self.coeffs[i], f.embed_int(i)))
+            out.append(f.mul(self.coeffs[i], i % f.p))
         return Poly._raw(f, _trim(out))
 
     def __eq__(self, other) -> bool:

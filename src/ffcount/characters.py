@@ -35,15 +35,17 @@ Representation conventions used throughout this module:
   Values stay exact: integers modulo the group exponent E, or residues
   mod a prime P = 1 (mod E), where zeta_E maps to a fixed element of
   exact order E.  F_P is the one exact arithmetic of the module.
-* L-polynomial coefficients are indexed from degree 0 with c_0 = 1 (the
-  single degree-0 monic, value 1 under every character); the coefficient
-  list runs to degree m-1.  The effective degree is exact by the F_P
-  orbit rule: with P > q^(m-1), c_j(chi) = 0 exactly when c_j(chi^a) = 0
-  mod P for every a prime to the order of chi, so the degree of L(T, chi)
-  is the largest j at which some member of chi's Galois orbit is nonzero
-  mod P (proof at _l_coefficients).  Inverse roots come from a
-  deterministic simultaneous (Durand-Kerner) iteration on the reversed
-  polynomial.
+* L-polynomial coefficients c_j(chi), chi summed over monic_residues[j],
+  come from one count of value exponents per Galois orbit {chi^a}
+  (_orbit_counts), which feeds both weil's L-polynomials and the F_P prime
+  sums.  They are indexed from degree 0 with c_0 = 1 (the single degree-0
+  monic, value 1 under every character) and run to degree m-1.  The
+  effective degree is exact by the F_P orbit rule: with P > q^(m-1),
+  c_j(chi) = 0 exactly when c_j(chi^a) = 0 mod P for every a prime to the
+  order of chi, so the degree of L(T, chi) is the largest j at which some
+  member of the orbit is nonzero mod P (proof at _l_coefficients).
+  Inverse roots come from a deterministic simultaneous (Durand-Kerner)
+  iteration on the reversed polynomial.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ import cmath
 import math
 from collections import Counter, namedtuple
 from functools import lru_cache
-from operator import add, mul, sub
+from operator import mul, sub
 
 from .algebra import (
     Poly,
@@ -441,12 +443,45 @@ class LPoly(namedtuple("LPoly", "exponents coeffs effective_degree inverse_roots
 
 
 @lru_cache(maxsize=None)
+def _orbit_counts(group: UnitGroup):
+    """Each Galois orbit {chi^a : gcd(a, ord chi) = 1} of the non-principal
+    characters, walked once from its least index chi, as (rows, members):
+    rows[j], j < m, counts chi's value exponents over monic_residues[j] as
+    (e, n) items, and members holds the pairs (index of chi^a, a).  chi^a
+    takes a e mod E where chi takes e, injectively on chi's exponents (the
+    multiples of E / ord chi), so chi's items with e sent to a e count every
+    member exactly.  These counts are the one source of c_j(chi)."""
+    seen = [False] * group.order
+    orbits = []
+    for c in range(1, group.order):
+        if seen[c]:
+            continue
+        values = _char_exponents(group, group.dlog(c))
+        rows = [tuple(Counter(map(values.__getitem__, residues)).items())
+                for residues in group.monic_residues]
+        n, x, members = group.element_order(c), c, []
+        for a in range(1, n):
+            if math.gcd(a, n) == 1:
+                members.append((x, a))
+                seen[x] = True
+            x = group.mul(x, c)
+        orbits.append((rows, members))
+    return orbits
+
+
+def _fp_coefficient(items, a: int, powers: list[int], P: int) -> int:
+    """c_j(chi^a) mod P from chi's (e, n) counts at degree j; powers[e] = w^e."""
+    E = len(powers)
+    return sum([n * powers[a * e % E] for e, n in items]) % P
+
+
+@lru_cache(maxsize=None)
 def _l_coefficients(group: UnitGroup):
     """Complex coefficients c_0..c_(m-1) of L(T, chi) and its degree, by character index.
 
     c_j sums chi over monic_residues[j]; monics not coprime to d have
-    value 0.  Each character's value exponents there are counted once, and
-    the counts are evaluated twice: at zeta_E = e^(2 pi i/E), adding
+    value 0.  Both come from the per-orbit counts of _orbit_counts: each
+    member's remapped counts are evaluated at zeta_E = e^(2 pi i/E), adding
     n * zeta^e in ascending e, for the complex c_j, and at zeta_E = w, the
     root_of_unity modulo the first word prime P, for the degree.  Index 0,
     the principal character, has neither.
@@ -475,35 +510,22 @@ def _l_coefficients(group: UnitGroup):
     w = root_of_unity(E, P)
     powers = [pow(w, e, P) for e in range(E)]
     zetas = [cmath.exp(2j * math.pi * e / E) for e in range(E)]
-    coeffs, top = [None], [None]
-    for c in range(1, order):
-        values = _char_exponents(group, group.dlog(c))
-        rows = [sorted(Counter(map(values.__getitem__, residues)).items())
-                for residues in group.monic_residues]
-        row = []
-        for counts in rows:
-            # an explicit loop: sum() adds floats with compensation from
-            # Python 3.12 on, which would move the last bits
-            acc = 0j
-            for e, n in counts:
-                acc += n * zetas[e]
-            row.append(acc)
-        coeffs.append(tuple(row))
-        # the top degree at which chi itself is nonzero mod P; c_0 = 1
-        top.append(next((j for j in range(group.m - 1, 0, -1)
-                         if sum(n * powers[e] for e, n in rows[j]) % P), 0))
-    # the degree of chi is the largest top over its orbit, walked once
-    degrees = [None] * order
-    for c in range(1, order):
-        if degrees[c] is None:
-            n, x, orbit = group.element_order(c), c, []
-            for a in range(1, n):
-                if math.gcd(a, n) == 1:
-                    orbit.append(x)
-                x = group.mul(x, c)
-            degree = max(top[x] for x in orbit)
-            for x in orbit:
-                degrees[x] = degree
+    coeffs, degrees = [None] * order, [None] * order
+    for rows, members in _orbit_counts(group):
+        # the top degree at which some member is nonzero mod P; c_0 = 1
+        degree = next((j for j in range(group.m - 1, 0, -1)
+                       if any(_fp_coefficient(rows[j], a, powers, P) for _, a in members)), 0)
+        for x, a in members:
+            degrees[x] = degree
+            row = []
+            for items in rows:
+                # an explicit loop: sum() adds floats with compensation from
+                # Python 3.12 on, which would move the last bits
+                acc = 0j
+                for e, n in sorted([(a * e % E, n) for e, n in items]):
+                    acc += n * zetas[e]
+                row.append(acc)
+            coeffs[x] = tuple(row)
     return coeffs, degrees
 
 
@@ -607,7 +629,8 @@ class CharacterSums:
 
     1. chi(u) = w^(value exponent), from the dlog vector of u.
     2. L(T, chi) has coefficients c_j = sum of chi over monic_residues[j]
-       for j < m, and none above m - 1 when chi is not principal.
+       for j < m, read from the value-exponent counts of chi's Galois orbit
+       (_orbit_counts), and none above m - 1 when chi is not principal.
     3. psi(n) = n c_n - sum_(0<j<n) c_j psi(n-j) is the T^n coefficient
        of T L'/L, the sum of deg(p) chi(p)^r over prime powers p^r of
        degree n.  For the principal character, L = Z(T) prod_(p|d) (1 -
@@ -621,19 +644,16 @@ class CharacterSums:
         E, order = group.exponent, group.order
         self.group, self.N, self.P = group, N, P
         root = root_of_unity(E, P)
-        powers = [1]
-        for _ in range(E - 1):
-            powers.append(powers[-1] * root % P)
+        powers = [pow(root, e, P) for e in range(E)]
         self.powers = powers
         self.inverses = [0] + [pow(n, -1, P) for n in range(1, N + 1)]
         J = min(group.m - 1, N)
-        coeffs: list = [None]
-        for j in range(1, J + 1):
-            acc = [0] * order
-            for u in group.monic_residues[j]:
-                vals = map(powers.__getitem__, _char_exponents(group, group.dlog(u)))
-                acc = list(map(add, acc, vals))
-            coeffs.append([x % P for x in acc])
+        # coeffs[j][x] = c_j(chi_x) mod P; the principal entry is never read
+        coeffs: list = [None] + [[0] * order for _ in range(J)]
+        for rows, members in _orbit_counts(group):
+            for x, a in members:
+                for j in range(1, J + 1):
+                    coeffs[j][x] = _fp_coefficient(rows[j], a, powers, P)
         psi: list = [None]
         for n in range(1, N + 1):
             acc = [n * x for x in coeffs[n]] if n <= J else [0] * order
@@ -644,15 +664,12 @@ class CharacterSums:
         bad = [p.degree for p, _ in factor_stats(group.d).factors]
         for n in range(1, N + 1):
             psi[n][0] = (pow(group.q, n, P) - sum(b for b in bad if n % b == 0)) % P
-        divisors: list[list[int]] = [[] for _ in range(N + 1)]
-        for e in range(1, N // 2 + 1):
-            for t in range(2 * e, N + 1, e):
-                divisors[t].append(e)
         weights: list = [None]
         for t in range(1, N + 1):
             acc = psi[t]
-            for e in divisors[t]:
-                acc = list(map(sub, acc, map(weights[e].__getitem__, group.power_map(t // e))))
+            for e in range(1, t // 2 + 1):
+                if t % e == 0:
+                    acc = list(map(sub, acc, map(weights[e].__getitem__, group.power_map(t // e))))
             weights.append([x % P for x in acc])
         self.weights = weights
 

@@ -18,7 +18,7 @@ Representation conventions used throughout this module:
   number the JSON report carries (big counts via their decimal strings).
 * Reports are byte-identical across repeated identical invocations: keys
   are inserted in fixed order, floats print via repr, rows are ordered by
-  parameter tuple, and nothing reads the clock.  Memory-heavy commands
+  parameter tuple, and nothing reads the clock.  The table commands
   honor FFCOUNT_BUDGET_BYTES and the --budget override.
 * --out writes to a temporary file in the destination directory and
   renames it over the target, so readers never see a partial report; a
@@ -555,7 +555,7 @@ _DISPATCH = {
 }
 
 
-def _add_common(p, with_field=True):
+def _add_common(p, with_field=True, builds_table=False):
     if with_field:
         p.add_argument("--q", type=int, help="field size, a prime power")
         p.add_argument("--p", type=int, help="field characteristic")
@@ -563,8 +563,9 @@ def _add_common(p, with_field=True):
         p.add_argument("--modulus", help="defining modulus coefficients, comma separated")
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--out", help="write the report to this path atomically")
-    p.add_argument("--budget", type=int, default=None,
-                   help="memory cap in bytes for table builders")
+    if builds_table:
+        p.add_argument("--budget", type=int, default=None,
+                       help="memory cap in bytes for the table builders")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -578,7 +579,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", required=True, help="degree or degree range")
     p.add_argument("--k", help="factor count or range; all columns when omitted")
     p.add_argument("--mode", choices=("squarefree", "all"), default="squarefree")
-    _add_common(p)
+    _add_common(p, builds_table=True)
 
     p = sub.add_parser("asym", help="predicted main terms in log space")
     p.add_argument("--n", required=True)
@@ -592,7 +593,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", required=True)
     p.add_argument("--k", required=True)
     p.add_argument("--A", type=float, default=2.0)
-    _add_common(p)
+    _add_common(p, builds_table=True)
 
     p = sub.add_parser("ap", help="progression count, dual path")
     p.add_argument("--d", required=True, help="modulus polynomial")
@@ -603,7 +604,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("auto", "direct", "class"), default="auto",
                    help="irreducible class counts: class (Newton recurrence; auto "
                         "is the same) or direct (enumeration, the test oracle)")
-    _add_common(p)
+    _add_common(p, builds_table=True)
 
     p = sub.add_parser("interval", help="short interval count, dual path")
     p.add_argument("--g", required=True, help="monic center polynomial")
@@ -611,7 +612,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h", type=int, required=True, help="radius degree")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--A", type=float, default=2.0)
-    _add_common(p)
+    _add_common(p, builds_table=True)
 
     p = sub.add_parser("weil", help="L-polynomial inverse root moduli")
     p.add_argument("--d", required=True, help="modulus polynomial")
@@ -620,7 +621,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("omega-stats", help="moments of the factor count")
     p.add_argument("--n", required=True)
-    _add_common(p)
+    _add_common(p, builds_table=True)
 
     p = sub.add_parser("qlimit", help="large-q limit of the k-factor count")
     p.add_argument("--n", type=int, required=True)

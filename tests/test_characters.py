@@ -645,6 +645,66 @@ def test_l_degrees_need_a_prime_above_q_to_the_m_minus_1(monkeypatch, capsys):
     assert "consistency failure" in capsys.readouterr().err
 
 
+# cyclic groups, X^m and mixed factorizations for the per-orbit counts
+_ORBIT_MODULI = [
+    (F2, "1,1,0,0,0,0,0,1"),  # X^7 + X + 1, cyclic of order 127
+    (F3, "2,0,1,1,0,1"),  # cyclic of order 242
+    (F2, "0,0,0,0,0,0,0,0,0,0,1"),  # X^10
+    (F4, "0,0,0,1"),  # X^3
+    (F3, "0,0,0,0,1"),  # X^4
+    (F2, "0,0,0,1,1,1"),  # X^3 (X^2 + X + 1)
+    (F5, "0,0,1,1"),  # X^2 (X + 1)
+    (F2, "1,0,1,0,1"),  # (X^2 + X + 1)^2
+    (F3, "0,2,1"),  # X (X + 2)
+]
+
+
+def _galois_orbit(g, c):
+    n = g.element_order(c)
+    return {g.power_map(a)[c] for a in range(1, n) if math.gcd(a, n) == 1}
+
+
+@pytest.mark.parametrize("fld,d_text", _ORBIT_MODULI)
+def test_orbit_counts_partition_the_characters_and_count_every_member(fld, d_text):
+    g = unit_group(_p(fld, d_text))
+    E = g.exponent
+    seen = Counter()
+    for rows, members in characters_module._orbit_counts(g):
+        c, a1 = members[0]
+        assert a1 == 1 and c == min(_galois_orbit(g, c))
+        assert {x for x, _ in members} == _galois_orbit(g, c)
+        assert len(rows) == g.m
+        for x, a in members:
+            seen[x] += 1
+            assert x == g.power_map(a)[c]
+            values = characters_module._char_exponents(g, g.dlog(x))
+            for j, residues in enumerate(g.monic_residues):
+                remapped = {a * e % E: n for e, n in rows[j]}
+                assert len(remapped) == len(rows[j])
+                assert remapped == Counter(values[u] for u in residues), (x, j)
+    assert seen == Counter(range(1, g.order))
+
+
+def test_value_exponents_are_counted_once_per_galois_orbit(monkeypatch):
+    # weil and the prime sums of two primes read one count per orbit
+    calls = []
+    real = characters_module._char_exponents
+
+    def counting(group, vec):
+        calls.append(vec)
+        return real(group, vec)
+
+    monkeypatch.setattr(characters_module, "_char_exponents", counting)
+    g = UnitGroup(_p(F3, "0,0,0,0,1"))  # fresh, so no cache holds its counts
+    for c in range(1, g.order):
+        weil_check(g, c)
+    primes = word_primes(g.exponent)
+    for P in (next(primes), next(primes)):
+        CharacterSums(g, 8, P)
+    orbits = {frozenset(_galois_orbit(g, c)) for c in range(1, g.order)}
+    assert len(calls) == len(orbits) < g.order - 1
+
+
 def test_weil_check_all_nonprincipal_small_moduli():
     # every monic modulus of degree <= 3 over F_2, F_3, F_4
     for fld in (F2, F3, F4):
@@ -710,6 +770,51 @@ def test_character_prime_sums_match_enumerated_irreducibles(char_value):
                         for p in enumerate_irreducibles(d.field, t))
                 direct = t * sum(sums.powers[e] for e in exps if e is not None) % P
                 assert sums.weights[t][c] == direct, (d.text(), c, t)
+
+
+def _weights_by_residue(group, N, P):
+    """CharacterSums' weights with c_j(chi) mod P summed residue by residue
+    over monic_residues[j] for every character at once: the oracle of the
+    per-orbit counts."""
+    E, order = group.exponent, group.order
+    w = root_of_unity(E, P)
+    powers = [pow(w, e, P) for e in range(E)]
+    J = min(group.m - 1, N)
+    coeffs = [None]
+    for j in range(1, J + 1):
+        acc = [0] * order
+        for u in group.monic_residues[j]:
+            vals = characters_module._char_exponents(group, group.dlog(u))
+            acc = [x + powers[e] for x, e in zip(acc, vals)]
+        coeffs.append([x % P for x in acc])
+    psi = [None]
+    for n in range(1, N + 1):
+        acc = [n * x for x in coeffs[n]] if n <= J else [0] * order
+        for j in range(1, min(n - 1, J) + 1):
+            acc = [x - y * z for x, y, z in zip(acc, coeffs[j], psi[n - j])]
+        psi.append([x % P for x in acc])
+    bad = [p.degree for p, _ in factor_stats(group.d).factors]
+    for n in range(1, N + 1):
+        psi[n][0] = (pow(group.q, n, P) - sum(b for b in bad if n % b == 0)) % P
+    weights = [None]
+    for t in range(1, N + 1):
+        acc = psi[t]
+        for e in range(1, t):
+            if t % e == 0:
+                pm = group.power_map(t // e)
+                acc = [x - weights[e][pm[c]] for c, x in enumerate(acc)]
+        weights.append([x % P for x in acc])
+    return weights
+
+
+@pytest.mark.parametrize("fld,d_text,N", [
+    (F2, "0,0,0,1", 6), (F3, "0,0,1", 6), (F2, "1,0,1,0,1", 6), (F3, "1,2,1", 6),
+    (F2, "0,1,1,0,1", 6), (F3, "0,1,1", 6), (F4, "1,0,1", 6), (F5, "2,0,1", 6),
+    (F3, "1,1,0,1", 6), (F2, "0,0,0,0,0,0,0,0,0,0,1", 12)])
+def test_character_sums_match_the_per_residue_loop(fld, d_text, N):
+    group = unit_group(_p(fld, d_text))
+    P = next(word_primes(group.exponent))
+    assert CharacterSums(group, N, P).weights == _weights_by_residue(group, N, P)
 
 
 def test_word_primes_carry_a_root_of_unity_of_exact_order():

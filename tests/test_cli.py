@@ -121,6 +121,24 @@ def test_budget_env_exits_3(monkeypatch, capsys):
     assert code == 3
 
 
+def test_budget_is_offered_only_where_a_table_is_built(capsys):
+    # a 64-byte cap refuses the table of each of the five table commands;
+    # the other four build none, so --budget is a usage error there
+    tables = (["count", "--q", "2", "--n", "50"],
+              ["compare", "--q", "2", "--n", "50", "--k", "2"],
+              ["omega-stats", "--q", "2", "--n", "50"],
+              ["ap", "--q", "2", "--d", "0,0,0,1", "--g", "1", "--n", "10", "--k", "2"],
+              ["interval", "--q", "2", "--g", "1" + ",0" * 9 + ",1", "--h", "3", "--k", "2"])
+    for argv in tables:
+        assert run_cli(capsys, argv + ["--budget", "64"])[0] == 3, argv
+    for argv in (["asym", "--q", "2", "--n", "10", "--k", "2"],
+                 ["qlimit", "--q", "2", "--n", "10", "--k", "2"],
+                 ["weil", "--q", "3", "--d", "1,0,1"],
+                 ["selftest"]):
+        code, _, err = run_cli(capsys, argv + ["--budget", "64"])
+        assert code == 2 and "--budget" in err, argv
+
+
 def test_malformed_budget_env_exits_2(monkeypatch, capsys):
     monkeypatch.setenv("FFCOUNT_BUDGET_BYTES", "abc")
     code, _, err = run_cli(capsys, ["count", "--q", "2", "--n", "5"])
