@@ -35,7 +35,6 @@ import cmath
 import math
 import sys
 from collections import namedtuple
-from fractions import Fraction
 from functools import lru_cache
 
 from .algebra import Poly, factor_stats, irreducible_count, phi_poly
@@ -72,13 +71,11 @@ TAIL_TOL = 1e-12  # certified bound on the Euler product's dropped tail
 
 def ln_exact(x) -> float:
     """Natural log of a positive int, Fraction, or float without overflow."""
-    if isinstance(x, Fraction):
-        if x <= 0:
-            raise ValueError("ln_exact requires a positive value")
-        return math.log(x.numerator) - math.log(x.denominator)
     if x <= 0:
         raise ValueError("ln_exact requires a positive value")
-    return math.log(x)
+    if isinstance(x, (int, float)):
+        return math.log(x)
+    return math.log(x.numerator) - math.log(x.denominator)
 
 
 def ratio_to_main(value, ln_main: float) -> float:
@@ -440,6 +437,8 @@ def admissible_range(q, n: int, A: float, mode: str) -> int | None:
 @lru_cache(maxsize=None)
 def _qlimit_row(j: int, n: int) -> tuple[Fraction, ...]:
     # S_j(r) for r = 0..n: S_0 = 1; S_j(r) = sum_{m=1}^{r} S_{j-1}(r-m)/m
+    from fractions import Fraction  # only the qlimit sums pay for the import
+
     if j == 0:
         return (Fraction(1),) * (n + 1)
     prev = _qlimit_row(j - 1, n)

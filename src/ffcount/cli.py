@@ -23,6 +23,16 @@ Representation conventions used throughout this module:
 * --out writes to a temporary file in the destination directory and
   renames it over the target, so readers never see a partial report; a
   target that cannot be written is a usage error and leaves no temp file.
+* Each command runs only the layers it calls, since every command is a
+  fresh interpreter that compiles what it runs: ``characters``,
+  ``apinterval`` and ``asym`` are lazy modules, run on first attribute
+  access.  ``count`` and ``omega-stats`` run none of them; ``compare``,
+  ``asym`` and ``qlimit`` run ``asym``; ``weil`` runs ``characters``;
+  ``ap``, ``interval`` and ``selftest`` run all three.  ``algebra`` and
+  ``exactcount`` are imported eagerly, because every command calls them
+  (field and q parsing, ``max_omega``), so deferring them would save no
+  command anything.  ``fractions`` is imported only where a Fraction is
+  built: ``omega-stats``, ``qlimit`` and ``selftest``.
 
 Exit codes: 0 success, 2 usage error, 3 budget exceeded, 4 consistency
 failure (the exact and character counts of ap or interval differ, or a
@@ -37,34 +47,9 @@ import json
 import os
 import sys
 from collections import namedtuple
-from fractions import Fraction
+from importlib.util import LazyLoader, find_spec, module_from_spec
 
 from .algebra import FieldSpec, Poly, _field_modulus, _is_prime_mr, field, parse_poly
-from .apinterval import (
-    APQuery,
-    IntervalQuery,
-    ap_enumerate,
-    interval_enumerate,
-    pi_k_ap_chars,
-    pi_k_ap_exact,
-    pi_k_interval_chars,
-    pi_k_interval_exact,
-)
-from .asym import (
-    AnalyticConfig,
-    bigG,
-    bigH,
-    euler_F,
-    gamma_real,
-    main_term_thm1,
-    main_term_thm2,
-    main_term_thm3,
-    qlimit_count,
-    qlimit_sum,
-    ratio_to_main,
-    thm1_normalized_error,
-)
-from .characters import L_COEFF_NOTE, _check_tol, unit_group, weil_check
 from .errors import (
     BudgetExceededError,
     ConsistencyError,
@@ -81,6 +66,26 @@ from .exactcount import (
     omega_mean_exact,
     omega_moments,
 )
+
+
+def _lazy(name: str):
+    """The ffcount module `name`, registered now and run on its first attribute
+    access; the module itself when it is already imported."""
+    fullname = f"{__package__}.{name}"
+    module = sys.modules.get(fullname)
+    if module is None:
+        spec = find_spec(fullname)
+        spec.loader = LazyLoader(spec.loader)
+        module = module_from_spec(spec)
+        sys.modules[fullname] = module
+        setattr(sys.modules[__package__], name, module)
+        spec.loader.exec_module(module)
+    return module
+
+
+characters = _lazy("characters")
+apinterval = _lazy("apinterval")
+asym = _lazy("asym")
 
 __all__ = ["UsageError", "main"]
 
@@ -262,13 +267,13 @@ def cmd_count(args) -> Report:
 
 def cmd_asym(args) -> Report:
     q = _q_from_args(args)
-    cfg = AnalyticConfig(A=args.A)
+    cfg = asym.AnalyticConfig(A=args.A)
     nrange = _parse_range(args.n, "--n")
     krange = _parse_range(args.k, "--k")
     rows = []
     for n in nrange:
         for k in krange:
-            rows.append((q, n, k, main_term_thm1(q, n, k, cfg, override=args.override)))
+            rows.append((q, n, k, asym.main_term_thm1(q, n, k, cfg, override=args.override)))
     payload = {
         "command": "asym",
         "q": q,
@@ -280,7 +285,7 @@ def cmd_asym(args) -> Report:
 
 def cmd_compare(args) -> Report:
     q = _q_from_args(args)
-    cfg = AnalyticConfig(A=args.A)
+    cfg = asym.AnalyticConfig(A=args.A)
     nrange = _parse_range(args.n, "--n")
     krange = _parse_range(args.k, "--k")
     if min(nrange) < 2 or min(krange) < 1:
@@ -293,10 +298,10 @@ def cmd_compare(args) -> Report:
         table = series.row(n)
         for k in krange:
             exact = table[k] if k <= K else 0
-            m = main_term_thm1(q, n, k, cfg)
+            m = asym.main_term_thm1(q, n, k, cfg)
             rows.append((q, n, k, exact, m,
-                         ratio_to_main(exact, m),
-                         thm1_normalized_error(exact, q, n, k, cfg)))
+                         asym.ratio_to_main(exact, m),
+                         asym.thm1_normalized_error(exact, q, n, k, cfg)))
     payload = {
         "command": "compare",
         "q": q,
@@ -343,45 +348,46 @@ def _dual_path_report(label, qy, exact, chars, term, payload, header, row) -> Re
 def cmd_ap(args) -> Report:
     fld = field(*_field_args(args))
     q = fld.q
-    cfg = AnalyticConfig(A=args.A)
+    cfg = asym.AnalyticConfig(A=args.A)
     d = _poly_arg(fld, args.d, "d")
     g = _poly_arg(fld, args.g, "g")
     n, k = args.n, args.k
-    qy = APQuery(n, k, g, d)
-    exact = pi_k_ap_exact(qy, budget=args.budget, method=args.method)
+    qy = apinterval.APQuery(n, k, g, d)
+    exact = apinterval.pi_k_ap_exact(qy, budget=args.budget, method=args.method)
     payload = {"command": "ap", "q": q, "d": d.text(), "g": g.text(), "n": n, "k": k}
     return _dual_path_report(
-        "progression", qy, exact, pi_k_ap_chars,
-        lambda **kw: main_term_thm2(n, k, d, cfg, **kw),
+        "progression", qy, exact, apinterval.pi_k_ap_chars,
+        lambda **kw: asym.main_term_thm2(n, k, d, cfg, **kw),
         payload, ("q", "d", "g", "n", "k"), (q, d.text(), g.text(), n, k))
 
 
 def cmd_interval(args) -> Report:
     fld = field(*_field_args(args))
     q = fld.q
-    cfg = AnalyticConfig(A=args.A)
+    cfg = asym.AnalyticConfig(A=args.A)
     g = _poly_arg(fld, args.g, "g")
     n = args.n if args.n is not None else g.degree
     k, h = args.k, args.h
-    qy = IntervalQuery(n, k, g, h)
-    exact = pi_k_interval_exact(qy, budget=args.budget)
+    qy = apinterval.IntervalQuery(n, k, g, h)
+    exact = apinterval.pi_k_interval_exact(qy, budget=args.budget)
     payload = {"command": "interval", "q": q, "g": g.text(), "n": n, "h": h, "k": k}
     return _dual_path_report(
-        "interval", qy, exact, pi_k_interval_chars,
-        lambda **kw: main_term_thm3(q, n, k, h, cfg, **kw),
+        "interval", qy, exact, apinterval.pi_k_interval_chars,
+        lambda **kw: asym.main_term_thm3(q, n, k, h, cfg, **kw),
         payload, ("q", "g", "n", "h", "k"), (q, g.text(), n, h, k))
 
 
 def cmd_weil(args) -> Report:
     fld = field(*_field_args(args))
     d = _poly_arg(fld, args.d, "d")
-    _check_tol(args.tol)  # also on an order-1 group, which has no character to check
-    group = unit_group(d)
+    # also on an order-1 group, which has no character to check
+    characters._check_tol(args.tol)
+    group = characters.unit_group(d)
     reports = []
     rows = []
     all_ok = True
     for c in range(1, group.order):
-        rep = weil_check(group, c, tol=args.tol)
+        rep = characters.weil_check(group, c, tol=args.tol)
         all_ok = all_ok and rep["ok"]
         reports.append({
             "exponents": rep["exponents"],
@@ -400,7 +406,7 @@ def cmd_weil(args) -> Report:
         "d": d.text(),
         "characters": reports,
         "all_ok": all_ok,
-        "coefficient_convention": L_COEFF_NOTE,
+        "coefficient_convention": characters.L_COEFF_NOTE,
     }
     header = ("q", "d", "exponents", "re", "im", "modulus", "class",
               "degree_deficit", "ok")
@@ -437,7 +443,7 @@ def cmd_omega_stats(args) -> Report:
 def cmd_qlimit(args) -> Report:
     q = _q_from_args(args, required=False)
     n, k = args.n, args.k
-    s = qlimit_sum(n, k)
+    s = asym.qlimit_sum(n, k)
     payload = {
         "command": "qlimit",
         "n": n,
@@ -448,7 +454,7 @@ def cmd_qlimit(args) -> Report:
     row = [n, k, float(s)]
     header = ["n", "k", "sum"]
     if q is not None:
-        ln_count = qlimit_count(q, n, k)
+        ln_count = asym.qlimit_count(q, n, k)
         payload["q"] = q
         payload["count_lnAbs"] = ln_count
         header += ["q", "count_lnAbs"]
@@ -475,35 +481,37 @@ def _selftest_checks():
             sum(sq.row(n)) == 2 ** n - 2 ** (n - 1) for n in range(2, N + 1))
 
     def special_values():
-        ok = abs(euler_F(1.0, 2) - 0.5) < 1e-10
-        ok = ok and abs(bigG(0.0, 2) - 1.0) < 1e-10
-        ok = ok and abs(bigH(0.0, 2) - 1.0) < 1e-10
-        g45 = gamma_real(4.5)
-        return ok and abs(g45 - 3.5 * gamma_real(3.5)) < 1e-12 * g45
+        ok = abs(asym.euler_F(1.0, 2) - 0.5) < 1e-10
+        ok = ok and abs(asym.bigG(0.0, 2) - 1.0) < 1e-10
+        ok = ok and abs(asym.bigH(0.0, 2) - 1.0) < 1e-10
+        g45 = asym.gamma_real(4.5)
+        return ok and abs(g45 - 3.5 * asym.gamma_real(3.5)) < 1e-12 * g45
 
     def weil_mod_x2_plus_1():
-        group = unit_group(parse_poly(f3, "1,0,1"))
+        group = characters.unit_group(parse_poly(f3, "1,0,1"))
         return group.order == 8 and all(
-            weil_check(group, c)["ok"] for c in range(1, group.order))
+            characters.weil_check(group, c)["ok"] for c in range(1, group.order))
 
     def progression_paths():
-        qy = APQuery(4, 2, parse_poly(f3, "1"), parse_poly(f3, "0,1"))
-        exact = pi_k_ap_exact(qy)
-        if exact != ap_enumerate(qy):
+        qy = apinterval.APQuery(4, 2, parse_poly(f3, "1"), parse_poly(f3, "0,1"))
+        exact = apinterval.pi_k_ap_exact(qy)
+        if exact != apinterval.ap_enumerate(qy):
             return False
-        return pi_k_ap_chars(qy) == exact
+        return apinterval.pi_k_ap_chars(qy) == exact
 
     def interval_involution():
         g = Poly.x(f2, 5)
         for h in range(5):
             for k in range(1, 6):
-                qy = IntervalQuery(5, k, g, h)
-                if pi_k_interval_exact(qy) != interval_enumerate(qy):
+                qy = apinterval.IntervalQuery(5, k, g, h)
+                if apinterval.pi_k_interval_exact(qy) != apinterval.interval_enumerate(qy):
                     return False
         return True
 
     def qlimit_harmonic():
-        return qlimit_sum(5, 2) == Fraction(25, 12)
+        from fractions import Fraction  # only the selftest pays for the import
+
+        return asym.qlimit_sum(5, 2) == Fraction(25, 12)
 
     def cauchy_roundtrip():
         series = euler_product_squarefree(2, 8, 2)

@@ -40,7 +40,6 @@ from __future__ import annotations
 import math
 import os
 from collections import namedtuple
-from fractions import Fraction
 from functools import lru_cache
 from operator import mul
 
@@ -348,6 +347,8 @@ def omega_moments(series: BiSeries, n: int) -> OmegaMoments:
     total = sum(row)
     if total != series.q**n:
         raise ValueError("row does not sum to q^n; series is not an all-factors table")
+    from fractions import Fraction  # only the moment commands pay for the import
+
     mean = Fraction(sum(k * c for k, c in enumerate(row)), total)
     second = Fraction(sum(k * k * c for k, c in enumerate(row)), total)
     histogram = {k: c for k, c in enumerate(row) if c}
@@ -359,6 +360,8 @@ def omega_mean_exact(q, n: int) -> Fraction:
     q = _coerce_q(q)
     if n < 0:
         raise ValueError("n must be >= 0")
+    from fractions import Fraction  # only the moment commands pay for the import
+
     return sum(
         (Fraction(irreducible_count(q, d), q**d) for d in range(1, n + 1)),
         Fraction(0),

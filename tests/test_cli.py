@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from ffcount import algebra, apinterval, characters, cli
+from ffcount import algebra, apinterval, asym, characters, cli
 from ffcount.algebra import FieldSpec, Poly, parse_poly
 from ffcount.apinterval import APQuery, IntervalQuery, ap_enumerate, interval_enumerate
 from ffcount.errors import OutsideProvenRangeError, UndefinedMainTermError
@@ -84,7 +84,8 @@ def test_every_small_query_exits_0_with_agreeing_paths(capsys):
 
 
 def test_cli_import_loads_the_layers_and_no_boilerplate_modules():
-    # every command starts a fresh interpreter and pays for what this loads
+    # every command starts a fresh interpreter and pays for what this loads;
+    # the layers a command may not call are registered here but run on first use
     src = os.path.dirname(os.path.dirname(cli.__file__))
     code = "import sys; sys.path.insert(0, sys.argv[1]); import ffcount.cli; print(*sys.modules)"
     proc = subprocess.run([sys.executable, "-S", "-c", code, src],
@@ -93,6 +94,73 @@ def test_cli_import_loads_the_layers_and_no_boilerplate_modules():
     assert loaded.isdisjoint({"dataclasses", "inspect", "typing", "tempfile", "csv"})
     layers = ("algebra", "apinterval", "asym", "characters", "exactcount")
     assert {f"ffcount.{m}" for m in layers} <= loaded
+
+
+_LAYERS_RUN = """
+import contextlib, io, os, sys
+ran = set()
+sys.addaudithook(lambda event, args: event == "exec" and ran.add(
+    getattr(args[0], "co_filename", "")))
+sys.path.insert(0, sys.argv[1])
+from ffcount import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[2:])
+names = {os.path.basename(f)[:-3] for f in ran
+         if os.path.basename(os.path.dirname(f)) == "ffcount"}
+print(code, "fractions" in sys.modules,
+      *[m for m in ("characters", "apinterval", "asym") if m in names])
+"""
+
+_LAYERS_BY_COMMAND = [
+    (["count", "--q", "2", "--n", "10"], [], False),
+    (["omega-stats", "--q", "2", "--n", "5"], [], True),
+    (["compare", "--q", "2", "--n", "10", "--k", "2"], ["asym"], False),
+    (["asym", "--q", "2", "--n", "10", "--k", "2"], ["asym"], False),
+    (["qlimit", "--q", "2", "--n", "5", "--k", "2"], ["asym"], True),
+    (["weil", "--q", "3", "--d", "1,0,1"], ["characters"], False),
+    (["ap", "--q", "3", "--d", "0,1", "--g", "1", "--n", "4", "--k", "2"],
+     ["characters", "apinterval", "asym"], False),
+    (["interval", "--q", "2", "--g", "1,0,0,0,1", "--h", "2", "--k", "2"],
+     ["characters", "apinterval", "asym"], False),
+]
+
+
+@pytest.mark.parametrize("argv, layers, fractions", _LAYERS_BY_COMMAND,
+                         ids=[argv[0] for argv, _, _ in _LAYERS_BY_COMMAND])
+def test_each_command_runs_only_the_layers_it_calls(argv, layers, fractions):
+    # a fresh interpreter per command, as every command runs; the audit hook
+    # sees each module body that runs, and fractions only where one is built
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run([sys.executable, "-S", "-c", _LAYERS_RUN, src, *argv],
+                          capture_output=True, text=True, timeout=60, check=True)
+    code, frac, *ran = proc.stdout.split()
+    assert (code, frac == "True", ran) == ("0", fractions, layers)
+
+
+@pytest.mark.parametrize("imports", [
+    "import ffcount.cli\nfrom ffcount.apinterval import ap_series",
+    "import ffcount.apinterval\nimport ffcount.cli",
+], ids=["cli-first", "apinterval-first"])
+def test_lazy_layers_are_the_modules_every_import_finds(imports):
+    # whichever comes first, the CLI and the library share one module per
+    # layer, so there is one unit-group cache
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    code = f"""
+import sys
+sys.path.insert(0, sys.argv[1])
+{imports}
+import ffcount
+from ffcount import apinterval, characters, cli
+from ffcount.algebra import FieldSpec, parse_poly
+assert cli.apinterval is sys.modules["ffcount.apinterval"] is ffcount.apinterval is apinterval
+assert cli.characters is sys.modules["ffcount.characters"] is characters
+d = parse_poly(FieldSpec(3), "1,0,1")
+assert cli.characters.unit_group(d) is apinterval.unit_group(d)
+print(characters.unit_group.cache_info().currsize)
+"""
+    proc = subprocess.run([sys.executable, "-S", "-c", code, src],
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert proc.stdout.split() == ["1"]
 
 
 def test_unknown_flag_exits_2(capsys):
@@ -163,7 +231,7 @@ def test_counts_zero_by_degree_need_no_table(capsys):
 
 
 def test_dual_path_mismatch_exits_4(monkeypatch, capsys):
-    monkeypatch.setattr(cli, "pi_k_ap_chars", lambda qy: -1)
+    monkeypatch.setattr(apinterval, "pi_k_ap_chars", lambda qy: -1)
     code, _, err = run_cli(
         capsys, ["ap", "--q", "3", "--d", "0,1", "--g", "1", "--n", "4", "--k", "2"])
     assert code == 4
@@ -191,7 +259,7 @@ def test_main_term_errors_are_told_apart_by_type(monkeypatch, capsys):
             (outside, undefined, 0, None),
             (undefined, 1.5, 0, None),
             (ValueError("outside the proven range; pass override"), 1.5, 2, None)):
-        monkeypatch.setattr(cli, "main_term_thm2", term_giving(plain, overridden))
+        monkeypatch.setattr(asym, "main_term_thm2", term_giving(plain, overridden))
         got, out, _ = run_cli(capsys, argv)
         assert got == code, (plain, overridden)
         if code == 0:
