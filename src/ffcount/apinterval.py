@@ -13,9 +13,12 @@ Representation conventions used throughout this module:
   keeps its degree rows.  Every slot value is a genuine count bounded by
   q^N, so no slot ever carries into its neighbor.
 * The kernel multiplies out the product over irreducibles p not dividing
-  d of (1 + z T^deg(p) e_[p]), e_[p] the basis vector of the class of p,
-  class by class with exact binomial weights, since irreducibles of equal
-  degree and class contribute identically.  Multiplying by e_c rotates
+  d of (1 + z T^deg(p) e_[p]), e_[p] the basis vector of the class of p.
+  Two factors of degree above N/2 multiply past T^N, so each of those is
+  placed directly as its term z T^deg(p) e_[p]; the lower degrees are
+  multiplied in class by class with exact binomial weights, since
+  irreducibles of equal degree and class contribute identically, with
+  one set of rotation masks per class.  Multiplying by e_c rotates
   every block of a row along each axis of the group (two shifts and a
   mask per axis).  Class sizes come from a Newton recurrence on the
   class-refined zeta coefficients followed by exact prime-power
@@ -199,19 +202,21 @@ def _class_product(group, classes, N: int, K: int, slot: int) -> int:
         B *= n
     # slots 0..K-1 of every block: slot K only feeds slots past K
     low = _tile((1 << K * slot) - 1, W, group.order * (N + 1))
+    # two factors with 2 deg > N multiply past T^N, so each only adds its
+    # term cnt z T^deg e_c (slot 1 of block c in row deg): place those
+    # directly, before any rotation; at K = 0 there is no slot for them
+    Q = 1  # T^0 z^0 in the identity class, index 0
     by_class: dict[int, list[tuple[int, int]]] = {}
     for dp in range(1, N + 1):
         for c, cnt in classes.get(dp, {}).items():
-            by_class.setdefault(c, []).append((dp, cnt))
-    half = N // 2
-    Q = 1  # T^0 z^0 in the identity class, index 0
+            if 2 * dp <= N:
+                by_class.setdefault(c, []).append((dp, cnt))
+            elif K:
+                Q += cnt << dp * B + c * W + slot
     for c, factors in sorted(by_class.items()):
         rotation = None  # drop one class's masks before building the next
+        rotation = _rotation(group.dlog(c), axes, N * B)
         for dp, cnt in factors:
-            if dp > half:
-                break
-            if rotation is None:
-                rotation = _rotation(group.dlog(c), axes, N * B)
             # term j is C(cnt, j) z^j T^(dp j) e_c^j times the table before
             # this factor, cut to degree N - dp j
             src, b = Q, 1
@@ -219,19 +224,7 @@ def _class_product(group, classes, N: int, K: int, slot: int) -> int:
                 src = _rotate(src & (low >> dp * j * B), rotation) << slot
                 b = b * (cnt - j + 1) // j
                 Q += b * src << dp * j * B
-    # factors with 2 deg > N: their products with each other vanish, so
-    # each contributes cnt z T^deg e_c times the table of the lower half;
-    # sum them per class, at degrees shifted down by half + 1, and rotate once
-    upper = 0
-    for c, factors in sorted(by_class.items()):
-        cnts, acc = dict(factors), 0
-        for dp in range(N, half, -1):  # Horner in T from the highest degree down
-            acc <<= B
-            if dp in cnts:
-                acc += cnts[dp] * (Q & (low >> dp * B))
-        if acc:
-            upper += _rotate(acc, _rotation(group.dlog(c), axes, (N - half) * B)) << slot
-    return Q + (upper << (half + 1) * B)
+    return Q
 
 
 def _live_terms(q: int, terms):

@@ -298,10 +298,11 @@ def cmd_compare(args) -> Report:
         table = series.row(n)
         for k in krange:
             exact = table[k] if k <= K else 0
-            m = asym.main_term_thm1(q, n, k, cfg)
+            core = asym._thm1(q, n, k, cfg, False)  # one G(r) serves both columns
+            m = asym._main_term(*core)
             rows.append((q, n, k, exact, m,
                          asym.ratio_to_main(exact, m),
-                         asym.thm1_normalized_error(exact, q, n, k, cfg)))
+                         asym._normalized_error(exact, n, k, *core)))
     payload = {
         "command": "compare",
         "q": q,

@@ -544,6 +544,13 @@ _KERNEL_SHAPES = (
     (F9, "0,0,1", 7, 7),
     # the one-element group
     (F2, "0,1", 24, 6),
+    # at N = 1 every factor is placed directly; at N = 2 and 3 degree N/2
+    # still rotates and degree (N+1)/2 is placed; at K = 0 nothing is placed
+    (F3, "2,1,0,0,1", 1, 1),
+    (F2, "0,0,0,0,0,1", 2, 2),
+    (F5, "0,0,1", 3, 3),
+    (F3, "2,2,1,1", 3, 2),
+    (F2, "0,1,0,1", 9, 0),
 )
 
 
@@ -563,6 +570,26 @@ def test_class_kernel_matches_the_per_class_loop():
         short_counts += sum(cnt < min(K, N // dp)
                             for dp, by in classes.items() for cnt in by.values())
     assert short_counts
+
+
+@pytest.mark.parametrize("fld,d_text,N", [
+    pytest.param(F2, "1,1,0,0,0,0,1", 12, id="cyclic-63"),
+    pytest.param(F2, "0,0,0,0,0,1", 9, id="three-axes-16"),
+    pytest.param(F3, "2,2,1,1", 8, id="repeated-factor-18"),
+])
+def test_class_kernel_builds_each_class_masks_once(monkeypatch, fld, d_text, N):
+    # only classes with an irreducible of degree <= N/2 rotate the table;
+    # the factors of higher degree are placed without a rotation
+    built = []
+    real = apinterval._rotation
+    monkeypatch.setattr(apinterval, "_rotation",
+                        lambda vec, *rest: built.append(vec) or real(vec, *rest))
+    s = ap_series(_p(fld, d_text), N, 3)
+    classes = s.group.irreducible_classes(N)
+    lower = {c for dp in range(1, N // 2 + 1) for c in classes.get(dp, {})}
+    upper = {c for dp in range(N // 2 + 1, N + 1) for c in classes.get(dp, {})}
+    assert lower & upper  # some class has factors on both sides of N/2
+    assert sorted(built) == sorted(s.group.dlog(c) for c in lower)
 
 
 def test_class_kernel_memory_stays_within_its_estimate():

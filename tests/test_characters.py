@@ -211,6 +211,33 @@ def test_an_element_index_is_the_mixed_radix_code_of_its_dlog(fld, d_text):
         assert list(residues) == sorted(residues)
 
 
+# the unit groups behind the golden weil, ap and interval reports (an
+# interval of radius h about a degree-n center reads the group mod X^(n-h))
+# and behind the order-512 and order-2047 CI steps: their bases, which
+# number every class of those reports, as (generator, order)
+_REPORT_STRUCTURES = [
+    ((3, 1), "0,1", [("2", 2)]),
+    ((3, 1), "1,0,1", [("1,1", 8)]),
+    ((2, 1), "1,1,0,1", [("0,1", 7)]),
+    ((5, 1), "2,0,1", [("1,1", 24)]),
+    ((2, 1), "0,0,0,0,1", [("1,1", 4), ("1,0,1,1", 2)]),
+    ((3, 1), "0,0,0,1", [("2,1", 6), ("1,1", 3)]),
+    ((2, 2), "0,0,1", [("0/1,1/0", 6), ("1/0,1/0", 2)]),
+    ((5, 1), "0,0,1", [("2,1", 20)]),
+    ((2, 1), "0,0,0,0,0,0,0,0,0,0,1",
+     [("1,1", 16), ("1,0,0,1,1,0,0,1,1", 4), ("1,0,0,0,0,1,1,0,0,1", 2),
+      ("1,0,0,0,0,1,0,1,0,1", 2), ("1,0,0,0,0,1,1,1,1", 2)]),
+    ((2, 1), "1,0,0,0,0,0,0,0,0,1,0,1", [("0,1", 2047)]),
+]
+
+
+@pytest.mark.parametrize("pe,d_text,structure", _REPORT_STRUCTURES,
+                         ids=[f"q{p ** e}-{d}" for (p, e), d, _ in _REPORT_STRUCTURES])
+def test_the_basis_behind_each_report_is_pinned(pe, d_text, structure):
+    g = unit_group(_p(field(*pe), d_text))
+    assert [(gen.text(), n) for gen, n in g.structure] == structure
+
+
 def test_index_of_rejects_non_coprime_and_wrong_field():
     g = unit_group(_p(F2, "0,0,1"))
     with pytest.raises(ValueError):
