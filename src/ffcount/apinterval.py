@@ -18,11 +18,10 @@ Representation conventions used throughout this module:
   placed directly as its term z T^deg(p) e_[p]; the lower degrees are
   multiplied in class by class with exact binomial weights, since
   irreducibles of equal degree and class contribute identically, with
-  one set of rotation masks per class.  Multiplying by e_c rotates
-  every block of a row along each axis of the group (two shifts and a
-  mask per axis).  Class sizes come from a Newton recurrence on the
-  class-refined zeta coefficients followed by exact prime-power
-  inversion; bucketing enumerated irreducibles ("direct") is its oracle.
+  one set of rotation masks per class.  Multiplying by e_c is the packed
+  Z[G] rotation of characters, whose Newton recurrence for the class
+  sizes runs on it too; bucketing enumerated irreducibles ("direct") is
+  the oracle of those sizes.
 * Interval counts reduce to progression counts through coefficient
   reversal: monic f of degree n with f(0) = a corresponds to the monic
   polynomial a^{-1} f* where f*(X) = X^n f(1/X), and the condition
@@ -54,7 +53,8 @@ from .algebra import (
     involute,
     poly_gcd,
 )
-from .characters import CharacterSums, twisted_series, unit_group, word_primes
+from .characters import (CharacterSums, _axes, _rotate, _rotation, _tile, twisted_series,
+                         unit_group, word_primes)
 from .errors import BudgetExceededError, ConsistencyError
 from .exactcount import byte_budget, max_omega, slot_bits
 
@@ -166,40 +166,13 @@ def ap_series(d: Poly, N: int, K: int | None = None, method: str = "auto",
     return GroupSeries(group, N, K, slot, [(packed >> n * B) & row for n in range(N + 1)])
 
 
-def _tile(pattern: int, period: int, count: int) -> int:
-    """count >= 1 copies of pattern, period bits apart, by doubling."""
-    if count == 1:
-        return pattern
-    half = _tile(pattern, period, count // 2)
-    out = half | half << count // 2 * period
-    return out | pattern << (count - 1) * period if count & 1 else out
-
-
-def _rotation(vec, axes, height: int):
-    """Multiplication by the class with dlog vector vec, as (mask, up, down)
-    per axis it moves: within each period of an axis, the blocks whose digit
-    stays below n once vec's digit is added go up, the others wrap down."""
-    return [(_tile((1 << (n - a) * s) - 1, n * s, height // (n * s)), a * s, (n - a) * s)
-            for a, (n, s) in zip(vec, axes) if a]
-
-
-def _rotate(x: int, rotation) -> int:
-    for mask, up, down in rotation:
-        lo = x & mask
-        x = lo << up | (x ^ lo) >> down
-    return x
-
-
 def _class_product(group, classes, N: int, K: int, slot: int) -> int:
     """The product over (deg, c) of (1 + z T^deg e_c)^classes[deg][c], where
     classes[deg] maps a class index to its number of irreducibles of degree
     deg, cut at T^N and z^K and packed into one integer (see the module notes).
     """
     W = (K + 1) * slot
-    axes, B = [], W  # (order, bit stride) per axis; the last axis is innermost
-    for _, n in reversed(group.structure):
-        axes.insert(0, (n, B))
-        B *= n
+    axes, B = _axes(group, W), group.order * W
     # slots 0..K-1 of every block: slot K only feeds slots past K
     low = _tile((1 << K * slot) - 1, W, group.order * (N + 1))
     # two factors with 2 deg > N multiply past T^N, so each only adds its

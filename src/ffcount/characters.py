@@ -23,10 +23,13 @@ Representation conventions used throughout this module:
 * The elements are then renumbered once: an element's index is the
   mixed-radix code of its dlog vector (its position in lexicographic
   order), so the identity is 0.  Group arithmetic runs on indices: mul,
-  element_order, power_map (x -> x^r) and translation (v -> v * u) add,
-  scale or inspect dlog vectors modulo the basis orders, the last two for
-  all indices at once.  Polynomial multiply-and-reduce runs only during
-  construction.
+  element_order and power_map (x -> x^r) add, scale or inspect dlog
+  vectors modulo the basis orders, the last for all indices at once.
+  Polynomial multiply-and-reduce runs only during construction.
+* Z[G] products run on vectors packed one slot per element in code
+  order: multiplying by the element with dlog vector a rotates each axis
+  by a's digit, two shifts and a mask per axis (_rotation, _rotate).  The
+  Newton class counts here and apinterval's class kernel share it.
 * A character is named by its index c, the mixed-radix code of its
   exponent vector e against the basis, so characters and elements share
   one numbering: c's vector is the dlog of element c, c = 0 is principal,
@@ -174,14 +177,6 @@ class UnitGroup:
             e = math.lcm(e, n // math.gcd(a, n))
         return e
 
-    def translation(self, i: int) -> list[int]:
-        """The map v -> v * i on all indices, as one shift of every dlog vector."""
-        shifted = [0]
-        for a, n in zip(self._dlog[i], self._orders):
-            digits = [(s + a) % n for s in range(n)]
-            shifted = [c * n + s for c in shifted for s in digits]
-        return shifted
-
     def dlog(self, i: int) -> tuple[int, ...]:
         """Exponent vector of element i against the basis."""
         return self._dlog[i]
@@ -316,6 +311,40 @@ class UnitGroup:
         return _newton_class_counts(self, max_degree)
 
 
+def _tile(pattern: int, period: int, count: int) -> int:
+    """count >= 1 copies of pattern, period bits apart, by doubling."""
+    if count == 1:
+        return pattern
+    half = _tile(pattern, period, count // 2)
+    out = half | half << count // 2 * period
+    return out | pattern << (count - 1) * period if count & 1 else out
+
+
+def _axes(group: UnitGroup, stride: int):
+    """(order, bit stride) per axis of the group, the last axis innermost, for
+    one block of stride bits per element in code order."""
+    axes = []
+    for n in reversed(group._orders):
+        axes.insert(0, (n, stride))
+        stride *= n
+    return axes
+
+
+def _rotation(vec, axes, height: int):
+    """Multiplication by the class with dlog vector vec, as (mask, up, down)
+    per axis it moves: within each period of an axis, the blocks whose digit
+    stays below n once vec's digit is added go up, the others wrap down."""
+    return [(_tile((1 << (n - a) * s) - 1, n * s, height // (n * s)), a * s, (n - a) * s)
+            for a, (n, s) in zip(vec, axes) if a]
+
+
+def _rotate(x: int, rotation) -> int:
+    for mask, up, down in rotation:
+        lo = x & mask
+        x = lo << up | (x ^ lo) >> down
+    return x
+
+
 def _newton_class_counts(group: UnitGroup, N: int):
     """Irreducible counts per (degree, unit class) without enumeration.
 
@@ -325,48 +354,44 @@ def _newton_class_counts(group: UnitGroup, N: int):
     (group.monic_residues[n]).  The recurrence n z_n = sum_j w_j * z_(n-j)
     (convolution over the group) yields the prime-power vectors w_n, and
     exact prime-power inversion recovers the per-class prime counts.
+    Vectors over the group are packed one slot per element in code order,
+    so the product by an element is the rotation of the class kernel; every
+    slot holds a value in [0, N q^N], so none borrows or carries.
     """
-    order = group.order
-    q, m = group.q, group.m
-    qpow = [1]
-    for _ in range(N):
-        qpow.append(qpow[-1] * q)
-    excluded: dict[int, int] = {}
-    for p, _ in factor_stats(group.d).factors:
-        excluded[p.degree] = excluded.get(p.degree, 0) + 1
-    w: list[list[int] | None] = [None] * (N + 1)
+    order, q, m = group.order, group.q, group.m
+    qpow = [q**i for i in range(N + 1)]
+    excluded = Counter(p.degree for p, _ in factor_stats(group.d).factors)
+    slot = (N * qpow[N]).bit_length() + 1
+    smask, height, axes = (1 << slot) - 1, order * slot, _axes(group, slot)
+    ones = _tile(1, slot, order)
+    z = [sum(1 << v * slot for v in residues) for residues in group.monic_residues]
+    widest = max(map(len, group.monic_residues))
+    w: list = [None] * (N + 1)  # (packed w_j, its nonzero (u, w_j[u]))
     wsum = [0] * (N + 1)
     cvec: list[list[int] | None] = [None] * (N + 1)
     counts: dict[int, dict[int, int]] = {}
     for n in range(1, N + 1):
-        if n >= m:
-            acc = [n * qpow[n - m]] * order
-        else:
-            acc = [0] * order
-            for v in group.monic_residues[n]:
-                acc[v] = n
-        for j in range(1, n):
-            nj = n - j
-            if nj >= m:
-                # z_(n-j) is constant across classes, so the convolution
-                # collapses to a constant shift by the total weight of w_j
-                c = qpow[nj - m] * wsum[j]
-                if c:
-                    acc = [a - c for a in acc]
+        # z_(n-j) is constant across classes for n - j >= m, so those terms
+        # collapse to one shift by the total weights of the w_j
+        shift = sum(qpow[n - j - m] * wsum[j] for j in range(1, n - m + 1))
+        conv = 0
+        for j in range(max(1, n - m + 1), n):
+            # z_(n-j) is the indicator of the monic residues of degree n-j:
+            # rotate one side by each element of the shorter other side
+            packed, support = w[j]
+            residues = group.monic_residues[n - j]
+            if support is not None and len(support) <= len(residues):
+                conv += sum(a * _rotate(z[n - j], _rotation(group.dlog(u), axes, height))
+                            for u, a in support)
             else:
-                # z_(n-j) is the indicator of the monic residues of degree
-                # n-j, so w_j * z_(n-j) sums wu over the products u * v;
-                # translate by each entry of the shorter list and walk the
-                # longer one, keeping memory at one row of the group
-                wj = [(u, wu) for u, wu in enumerate(w[j]) if wu]
-                zj = [(v, 1) for v in group.monic_residues[nj]]
-                outer, inner = (wj, zj) if len(wj) <= len(zj) else (zj, wj)
-                for a, ca in outer:
-                    row = group.translation(a)
-                    for b, cb in inner:
-                        acc[row[b]] -= ca * cb
-        w[n] = acc
-        wsum[n] = sum(acc)
+                conv += sum(_rotate(packed, _rotation(group.dlog(v), axes, height))
+                            for v in residues)
+        acc = n * (z[n] if n < m else qpow[n - m] * ones) - shift * ones - conv
+        wn = [acc >> s & smask for s in range(0, height, slot)]
+        support = [(u, a) for u, a in enumerate(wn) if a]
+        # a support wider than every residue set is never the shorter side
+        w[n] = acc, support if len(support) <= widest else None
+        wsum[n] = sum(wn)
         sub = [0] * order
         for j in range(2, n + 1):
             if n % j:
@@ -379,13 +404,13 @@ def _newton_class_counts(group: UnitGroup, N: int):
                     sub[pm[x]] += t * ct[x]
         cn = []
         for u in range(order):
-            val = acc[u] - sub[u]
+            val = wn[u] - sub[u]
             if val % n:
                 raise ConsistencyError(
                     f"class-count inversion is not integral at degree {n}")
             cn.append(val // n)
         cvec[n] = cn
-        if sum(cn) + excluded.get(n, 0) != irreducible_count(q, n):
+        if sum(cn) + excluded[n] != irreducible_count(q, n):
             raise ConsistencyError(
                 f"class counts at degree {n} do not sum to the prime count")
         counts[n] = {u: c for u, c in enumerate(cn) if c}

@@ -551,16 +551,17 @@ def cmd_selftest(args) -> Report:
     return Report(payload, ("name", "ok"), rows, exit_code=0 if all_ok else 4)
 
 
-_DISPATCH = {
-    "count": cmd_count,
-    "asym": cmd_asym,
-    "compare": cmd_compare,
-    "ap": cmd_ap,
-    "interval": cmd_interval,
-    "weil": cmd_weil,
-    "omega-stats": cmd_omega_stats,
-    "qlimit": cmd_qlimit,
-    "selftest": cmd_selftest,
+# each command's function and help, in the order that --help lists them
+_COMMANDS = {
+    "count": (cmd_count, "exact factor-count tables"),
+    "asym": (cmd_asym, "predicted main terms in log space"),
+    "compare": (cmd_compare, "exact counts against predictions"),
+    "ap": (cmd_ap, "progression count, dual path"),
+    "interval": (cmd_interval, "short interval count, dual path"),
+    "weil": (cmd_weil, "L-polynomial inverse root moduli"),
+    "omega-stats": (cmd_omega_stats, "moments of the factor count"),
+    "qlimit": (cmd_qlimit, "large-q limit of the k-factor count"),
+    "selftest": (cmd_selftest, "fast cross-module invariant suite"),
 }
 
 
@@ -577,79 +578,79 @@ def _add_common(p, with_field=True, builds_table=False):
                        help="memory cap in bytes for the table builders")
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _add_arguments(p, command: str) -> None:
+    """The flags of one subcommand."""
+    if command == "count":
+        p.add_argument("--n", required=True, help="degree or degree range")
+        p.add_argument("--k", help="factor count or range; all columns when omitted")
+        p.add_argument("--mode", choices=("squarefree", "all"), default="squarefree")
+        _add_common(p, builds_table=True)
+    elif command == "asym":
+        p.add_argument("--n", required=True)
+        p.add_argument("--k", required=True)
+        p.add_argument("--A", type=float, default=2.0)
+        p.add_argument("--override", action="store_true",
+                       help="evaluate outside the proven k range")
+        _add_common(p)
+    elif command == "compare":
+        p.add_argument("--n", required=True)
+        p.add_argument("--k", required=True)
+        p.add_argument("--A", type=float, default=2.0)
+        _add_common(p, builds_table=True)
+    elif command == "ap":
+        p.add_argument("--d", required=True, help="modulus polynomial")
+        p.add_argument("--g", required=True, help="residue polynomial")
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--k", type=int, required=True)
+        p.add_argument("--A", type=float, default=2.0)
+        p.add_argument("--method", choices=("auto", "direct", "class"), default="auto",
+                       help="irreducible class counts: class (Newton recurrence; auto "
+                            "is the same) or direct (enumeration, the test oracle)")
+        _add_common(p, builds_table=True)
+    elif command == "interval":
+        p.add_argument("--g", required=True, help="monic center polynomial")
+        p.add_argument("--n", type=int, help="degree; defaults to deg g")
+        p.add_argument("--h", type=int, required=True, help="radius degree")
+        p.add_argument("--k", type=int, required=True)
+        p.add_argument("--A", type=float, default=2.0)
+        _add_common(p, builds_table=True)
+    elif command == "weil":
+        p.add_argument("--d", required=True, help="modulus polynomial")
+        p.add_argument("--tol", type=float, default=1e-6)
+        _add_common(p)
+    elif command == "omega-stats":
+        p.add_argument("--n", required=True)
+        _add_common(p, builds_table=True)
+    elif command == "qlimit":
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--k", type=int, required=True)
+        _add_common(p)
+    else:  # selftest
+        _add_common(p, with_field=False)
+
+
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """Every subcommand, with the flags of command only (of all when None)."""
     parser = argparse.ArgumentParser(
         prog="ffcount",
         description="Counts of monic polynomials over F_q by number of "
                     "distinct irreducible factors, with asymptotic checks.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("count", help="exact factor-count tables")
-    p.add_argument("--n", required=True, help="degree or degree range")
-    p.add_argument("--k", help="factor count or range; all columns when omitted")
-    p.add_argument("--mode", choices=("squarefree", "all"), default="squarefree")
-    _add_common(p, builds_table=True)
-
-    p = sub.add_parser("asym", help="predicted main terms in log space")
-    p.add_argument("--n", required=True)
-    p.add_argument("--k", required=True)
-    p.add_argument("--A", type=float, default=2.0)
-    p.add_argument("--override", action="store_true",
-                   help="evaluate outside the proven k range")
-    _add_common(p)
-
-    p = sub.add_parser("compare", help="exact counts against predictions")
-    p.add_argument("--n", required=True)
-    p.add_argument("--k", required=True)
-    p.add_argument("--A", type=float, default=2.0)
-    _add_common(p, builds_table=True)
-
-    p = sub.add_parser("ap", help="progression count, dual path")
-    p.add_argument("--d", required=True, help="modulus polynomial")
-    p.add_argument("--g", required=True, help="residue polynomial")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--A", type=float, default=2.0)
-    p.add_argument("--method", choices=("auto", "direct", "class"), default="auto",
-                   help="irreducible class counts: class (Newton recurrence; auto "
-                        "is the same) or direct (enumeration, the test oracle)")
-    _add_common(p, builds_table=True)
-
-    p = sub.add_parser("interval", help="short interval count, dual path")
-    p.add_argument("--g", required=True, help="monic center polynomial")
-    p.add_argument("--n", type=int, help="degree; defaults to deg g")
-    p.add_argument("--h", type=int, required=True, help="radius degree")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--A", type=float, default=2.0)
-    _add_common(p, builds_table=True)
-
-    p = sub.add_parser("weil", help="L-polynomial inverse root moduli")
-    p.add_argument("--d", required=True, help="modulus polynomial")
-    p.add_argument("--tol", type=float, default=1e-6)
-    _add_common(p)
-
-    p = sub.add_parser("omega-stats", help="moments of the factor count")
-    p.add_argument("--n", required=True)
-    _add_common(p, builds_table=True)
-
-    p = sub.add_parser("qlimit", help="large-q limit of the k-factor count")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    _add_common(p)
-
-    p = sub.add_parser("selftest", help="fast cross-module invariant suite")
-    _add_common(p, with_field=False)
-
+    for name, (_, text) in _COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        if command in (None, name):
+            _add_arguments(p, name)
     return parser
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = _build_parser().parse_args(argv)
+        args = _build_parser(argv[0] if argv else "").parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        report = _DISPATCH[args.command](args)
+        report = _COMMANDS[args.command][0](args)
         _emit(_render(report, args.format), args.out)
         return report.exit_code
     except UsageError as exc:

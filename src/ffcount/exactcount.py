@@ -160,7 +160,8 @@ def _log_derivative_rows(weights, N: int, K: int, slot: int, finish,
                 g[n % s] = ratio * (rows[n - s] + g[n % s])
         total = 0
         for m in range(1, min(n, K) + 1):
-            part = sum(map(mul, weights[m][1:n // m + 1], rows[n - m::-m]))
+            # smallest row first: each addition costs the size of the running total
+            part = sum(map(mul, weights[m][n // m:0:-1], rows[n % m:n - m + 1:m]))
             for sign, s in lanes[m] if lanes else ():
                 part = part + geo[s][n % s] if sign > 0 else part - geo[s][n % s]
             total += part << m * slot

@@ -509,11 +509,11 @@ def _reference_class_rows(classes, N, K, slot, group):
             for j in range(1, jmax + 1):
                 binom.append(binom[-1] * (cnt - j + 1) // j)
             # class v * c^(-j) feeds slot j of class v, from degree n - dp*j
-            step = group.translation(group.power_map(-1)[c])
+            inverse = group.power_map(-1)[c]
             src = list(range(order))
             feeds = [[] for _ in range(order)]
             for j in range(1, jmax + 1):
-                src = [step[u] for u in src]
+                src = [group.mul(u, inverse) for u in src]
                 for v in range(order):
                     feeds[v].append((rows[src[v]], dp * j, j * slot, binom[j]))
             for n in range(N, dp - 1, -1):

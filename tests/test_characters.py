@@ -116,11 +116,10 @@ def test_group_multiplication_and_inverse():
         one = Poly.one(fld)
         els = g.elements
         for i in range(g.order):
-            shift = g.translation(i)
             for j in range(g.order):
                 prod = (els[i] * els[j]) % g.d
                 assert els[g.mul(i, j)] == prod
-                assert els[shift[j]] == prod
+                assert els[g.mul(j, i)] == prod
             assert (els[i] * els[g.power_map(-1)[i]]) % g.d == one
             power, first_one = one, None
             for t in range(g.order + 2):
@@ -198,8 +197,7 @@ def test_an_element_index_is_the_mixed_radix_code_of_its_dlog(fld, d_text):
         assert els[c] == prod and g.index_of(prod) == c
     assert els[0] == one
     for a in range(g.order):
-        shift = g.translation(a)
-        assert all(els[shift[v]] == els[v] * els[a] % g.d for v in range(g.order))
+        assert all(els[g.mul(v, a)] == els[v] * els[a] % g.d for v in range(g.order))
     powers = list(els)  # powers[c] = els[c]^r, r = 1, 2, ...
     for r in range(1, g.exponent + 2):
         pm = g.power_map(r)
@@ -913,6 +911,61 @@ def test_newton_class_counts_memory_stays_linear_in_the_group_order():
         tracemalloc.stop()
     assert peak < 128 * (N + 1) * g.order
     assert counts == UnitGroup(g.d).irreducible_classes(N, method="direct")
+
+
+def _list_class_counts(group, N):
+    """The list recurrence that the packed Newton counts replaced: w_n and the
+    class counts as lists over the group, w_j * z_(n-j) walked pair by pair
+    through a multiplication table built with UnitGroup.mul."""
+    order, q, m = group.order, group.q, group.m
+    table = [[group.mul(a, b) for b in range(order)] for a in range(order)]
+    excluded = Counter(p.degree for p, _ in factor_stats(group.d).factors)
+    w, cvec, counts = [None] * (N + 1), [None] * (N + 1), {}
+    for n in range(1, N + 1):
+        if n >= m:
+            acc = [n * q ** (n - m)] * order
+        else:
+            acc = [0] * order
+            for v in group.monic_residues[n]:
+                acc[v] = n
+        for j in range(1, n):
+            if n - j >= m:
+                c = q ** (n - j - m) * sum(w[j])
+                acc = [a - c for a in acc]
+                continue
+            for u, wu in enumerate(w[j]):
+                if wu:
+                    row = table[u]
+                    for v in group.monic_residues[n - j]:
+                        acc[row[v]] -= wu
+        w[n] = acc
+        sub = [0] * order
+        for j in range(2, n + 1):
+            if n % j == 0:
+                pm = group.power_map(j)
+                for x, c in enumerate(cvec[n // j]):
+                    sub[pm[x]] += n // j * c
+        assert all((a - b) % n == 0 for a, b in zip(acc, sub)), n
+        cvec[n] = [(a - b) // n for a, b in zip(acc, sub)]
+        assert sum(cvec[n]) + excluded[n] == irreducible_count(q, n), n
+        counts[n] = {u: c for u, c in enumerate(cvec[n]) if c}
+    return counts
+
+
+def test_newton_class_counts_match_the_list_recurrence():
+    # orders that direct enumeration cannot reach: X^7 + X + 1 over F_2
+    # (cyclic, 127), 2 + X^2 + X^3 + X^5 over F_3 (cyclic, 242) and X^10
+    # over F_2 (five axes, 512)
+    for fld, d_text, N in ((F2, "1,1,0,0,0,0,0,1", 24), (F3, "2,0,1,1,0,1", 24),
+                           (F2, "0,0,0,0,0,0,0,0,0,0,1", 30)):
+        g = unit_group(_p(fld, d_text))
+        assert g.irreducible_classes(N) == _list_class_counts(g, N), g.order
+    # at small N all three agree: mod (X + 1)^2 over F_4 and mod
+    # (X + 1)^2 (X + 2) over F_3, both on two axes
+    for fld, d_text, N in ((F4, "1,0,1", 7), (F3, "2,2,1,1", 8)):
+        g = unit_group(_p(fld, d_text))
+        want = g.irreducible_classes(N, method="direct")
+        assert g.irreducible_classes(N) == _list_class_counts(g, N) == want
 
 
 def test_irreducible_classes_partition_totals():

@@ -172,6 +172,36 @@ def test_missing_subcommand_exits_2(capsys):
     assert run_cli(capsys, [])[0] == 2
 
 
+_ONE_PER_COMMAND = (
+    "count --q 2 --n 5",
+    "asym --q 2 --n 10 --k 2",
+    "compare --q 2 --n 10 --k 2",
+    "ap --q 3 --d 0,1 --g 1 --n 4 --k 2",
+    "interval --q 2 --g 1,0,0,0,1 --h 2 --k 2",
+    "weil --q 3 --d 1,0,1",
+    "omega-stats --q 2 --n 6",
+    "qlimit --n 5 --k 2",
+    "selftest",
+)
+
+
+def test_parser_with_only_the_invoked_command_answers_as_the_full_one(monkeypatch, capsys):
+    # main fills in the flags of argv[0] alone; help, usage errors and
+    # reports must not tell it from the parser with every command filled in
+    names = [argv.split()[0] for argv in _ONE_PER_COMMAND]
+    argvs = [["--help"], ["bogus"], [], ["count", "--q", "2", "--n", "3", "--bogus"]]
+    argvs += [[name, "--help"] for name in names] + [a.split() for a in _ONE_PER_COMMAND]
+    full = cli._build_parser
+    for argv in argvs:
+        got = run_cli(capsys, argv)
+        with monkeypatch.context() as m:
+            m.setattr(cli, "_build_parser", lambda *_: full())
+            want = run_cli(capsys, argv)
+        assert got == want, argv
+        assert got[0] == (2 if argv in argvs[1:4] else 0), argv  # the usage errors
+    assert len(names) == len(set(names)) == len(cli._COMMANDS)
+
+
 def test_malformed_poly_echoes_token(capsys):
     code, _, err = run_cli(capsys, ["weil", "--q", "3", "--d", "1,,1"])
     assert code == 2
