@@ -16,12 +16,12 @@ Representation conventions used throughout this module:
   d of (1 + z T^deg(p) e_[p]), e_[p] the basis vector of the class of p.
   Two factors of degree above N/2 multiply past T^N, so each of those is
   placed directly as its term z T^deg(p) e_[p]; the lower degrees are
-  multiplied in class by class with exact binomial weights, since
-  irreducibles of equal degree and class contribute identically, with
-  one set of rotation masks per class.  Multiplying by e_c is the packed
-  Z[G] rotation of characters, whose Newton recurrence for the class
-  sizes runs on it too; bucketing enumerated irreducibles ("direct") is
-  the oracle of those sizes.
+  multiplied in class by class, in code order, with exact binomial
+  weights (equal degree and class contribute identically); an axis's
+  rotation mask is rebuilt only when its digit changes.  Multiplying by
+  e_c is the packed Z[G] rotation of characters, whose Newton recurrence
+  for the class sizes runs on it too; bucketing enumerated irreducibles
+  ("direct") is the oracle of those sizes.
 * Interval counts reduce to progression counts through coefficient
   reversal: monic f of degree n with f(0) = a corresponds to the monic
   polynomial a^{-1} f* where f*(X) = X^n f(1/X), and the condition
@@ -187,7 +187,6 @@ def _class_product(group, classes, N: int, K: int, slot: int) -> int:
             elif K:
                 Q += cnt << dp * B + c * W + slot
     for c, factors in sorted(by_class.items()):
-        rotation = None  # drop one class's masks before building the next
         rotation = _rotation(group.dlog(c), axes, N * B)
         for dp, cnt in factors:
             # term j is C(cnt, j) z^j T^(dp j) e_c^j times the table before
@@ -264,9 +263,9 @@ def _char_sweep(d: Poly, terms) -> int:
         conj = [sums.conjugate_values(vec) for vec in gvecs]
         acc = 0
         for c in range(group.order):
-            rows = twisted_series(c, sums, K)
+            series = twisted_series(c, sums, K)
             for vals, (_, n, k) in zip(conj, live):
-                acc += vals[c] * rows[n][k]
+                acc += vals[c] * series.cell(n, k)
         r = acc * pow(group.order, -1, P) % P
         total += modulus * ((r - total) * pow(modulus, -1, P) % P)
         modulus *= P

@@ -71,7 +71,7 @@ from .algebra import (
     _monic_coeffs_from_index,
 )
 from .errors import BudgetExceededError, ConsistencyError, RootFindingError
-from .exactcount import _log_derivative_rows
+from .exactcount import BiSeries, _log_derivative_rows
 
 __all__ = [
     "CharacterSums",
@@ -321,11 +321,11 @@ def _tile(pattern: int, period: int, count: int) -> int:
 
 
 def _axes(group: UnitGroup, stride: int):
-    """(order, bit stride) per axis of the group, the last axis innermost, for
-    one block of stride bits per element in code order."""
-    axes = []
+    """[order, bit stride, comb, digit, mask] per axis, the last innermost, for a
+    block of stride bits per element in code order; comb has a 1 per period."""
+    block, axes = group.order * stride, []
     for n in reversed(group._orders):
-        axes.insert(0, (n, stride))
+        axes.insert(0, [n, stride, _tile(1, n * stride, block // (n * stride)), 0, 0])
         stride *= n
     return axes
 
@@ -334,8 +334,12 @@ def _rotation(vec, axes, height: int):
     """Multiplication by the class with dlog vector vec, as (mask, up, down)
     per axis it moves: within each period of an axis, the blocks whose digit
     stays below n once vec's digit is added go up, the others wrap down."""
-    return [(_tile((1 << (n - a) * s) - 1, n * s, height // (n * s)), a * s, (n - a) * s)
-            for a, (n, s) in zip(vec, axes) if a]
+    block = axes[0][0] * axes[0][1] if axes else height
+    for a, axis in zip(vec, axes):
+        if a and a != axis[3]:  # a mask changes only with its axis's digit
+            n, s, comb = axis[:3]
+            axis[3:] = a, _tile((comb << (n - a) * s) - comb, block, height // block)
+    return [(mask, a * s, (n - a) * s) for a, (n, s, _, _, mask) in zip(vec, axes) if a]
 
 
 def _rotate(x: int, rotation) -> int:
@@ -704,8 +708,8 @@ class CharacterSums:
         return [powers[-e % E] for e in _char_exponents(self.group, vec)]
 
 
-def twisted_series(c: int, sums: CharacterSums, K: int):
-    """Rows [n][k], n <= sums.N and k <= K, of the twisted squarefree series mod P.
+def twisted_series(c: int, sums: CharacterSums, K: int) -> BiSeries:
+    """The twisted squarefree series mod P to T^sums.N and z^K, packed.
 
     The series of character c is the product over irreducibles p not
     dividing d of (1 + z chi(p) T^deg p), and exactcount's kernel runs its
@@ -714,7 +718,7 @@ def twisted_series(c: int, sums: CharacterSums, K: int):
     bits(N K) bits holds a row's sums of products of residues, so no slot
     carries into the next before the finish reduces it.
     """
-    N, P, inverses = sums.N, sums.P, sums.inverses
+    q, N, P, inverses = sums.group.q, sums.N, sums.P, sums.inverses
     weights = [None]
     for m in range(1, K + 1):
         cm = sums.group.power_map(m)[c]
@@ -730,4 +734,4 @@ def twisted_series(c: int, sums: CharacterSums, K: int):
             row = (row | ((total >> s) & smask) * inv % P) << slot
         return row
 
-    return tuple(_log_derivative_rows(weights, N, K, slot, finish))
+    return BiSeries(q, N, K, slot, *_log_derivative_rows(weights, q, N, K, slot, finish))

@@ -42,12 +42,12 @@ selftest check failed).
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import os
 import sys
 from collections import namedtuple
 from importlib.util import LazyLoader, find_spec, module_from_spec
+from itertools import chain, islice
 
 from .algebra import FieldSpec, Poly, _field_modulus, _is_prime_mr, field, parse_poly
 from .errors import (
@@ -88,6 +88,8 @@ apinterval = _lazy("apinterval")
 asym = _lazy("asym")
 
 __all__ = ["UsageError", "main"]
+
+_BATCH = 4096  # report pieces per write: JSON encoder chunks or CSV lines
 
 
 class UsageError(Exception):
@@ -204,22 +206,24 @@ def _cell(v) -> str:
     return str(v)
 
 
-def _render(report: Report, fmt: str) -> str:
+def _batches(report: Report, fmt: str):
+    """The report's text a batch of _BATCH pieces (JSON encoder chunks or CSV
+    lines) at a time, so that the whole text never exists at once."""
     if fmt == "json":
-        return json.dumps(report.payload, indent=2) + "\n"
-    import csv  # only CSV reports pay for the import
+        pieces, tail = json.JSONEncoder(indent=2).iterencode(report.payload), ("\n",)
+    else:
+        import csv  # only CSV reports pay for the import
 
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(report.header)
-    for row in report.rows:
-        w.writerow([_cell(v) for v in row])
-    return buf.getvalue()
+        # writerow returns what its file's write returns: here, the line itself
+        w = csv.writer(argparse.Namespace(write=str), lineterminator="\n")
+        rows = chain((report.header,), report.rows)
+        pieces, tail = (w.writerow([_cell(v) for v in row]) for row in rows), ()
+    return chain(map("".join, iter(lambda: list(islice(pieces, _BATCH)), [])), tail)
 
 
-def _emit(text: str, out_path: str | None) -> None:
+def _emit(batches, out_path: str | None) -> None:
     if out_path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(batches)
         return
     import tempfile  # only --out pays for the import
 
@@ -228,7 +232,7 @@ def _emit(text: str, out_path: str | None) -> None:
     try:
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".ffcount-")
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            fh.writelines(batches)
         os.replace(tmp, target)
     except OSError as exc:
         raise UsageError(f"--out: cannot write {out_path}: {exc.strerror or exc}") from None
@@ -651,7 +655,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         report = _COMMANDS[args.command][0](args)
-        _emit(_render(report, args.format), args.out)
+        _emit(_batches(report, args.format), args.out)
         return report.exit_code
     except UsageError as exc:
         print(f"ffcount: {exc}", file=sys.stderr)

@@ -19,8 +19,11 @@ is a shift by m slots and each inner sum is a pass of scalar-times-row
 products.  Globally, since t Pi(t) = sum over d r = t of mu(r) q^d, the
 part of those sums with a short stride m r is a geometric sum of rows,
 kept up to date row by row, and the scalars left in the products are
-small.  Every slot of n F_n lies in [0, 2^slot), so masking the signed
-total to K+1 slots is exact and the masked row divides exactly by n.
+small.  Every slot of n F_n lies in [0, 2^slot) and is zero past
+max_omega(q, n), so the kernel stops there and masking the signed total
+to the slots up to it is exact; the masked row divides exactly by n.
+Tables stay packed from the kernel to the report: a BiSeries keeps slots
+0..K-1 of each degree as one integer and slot K beside it.
 The class kernel of apinterval, which builds the progression tables,
 packs its slots the same way but keeps the whole table, every degree and
 every residue class, in one integer.
@@ -101,28 +104,23 @@ def _coerce_q(q) -> int:
     return q
 
 
-class BiSeries:
-    """Truncated series with integer (or exact rational) coefficients.
+class BiSeries(namedtuple("BiSeries", "q N K slot rows tops")):
+    """Truncated series with nonnegative integer coefficients, kept packed.
 
-    coeff[n][k] is the count attached to T^n z^k; the table is rectangular
-    with dimensions (N+1) x (K+1) and is immutable after construction.
+    The count attached to T^n z^k, n <= N, lies in slot k, k < K, of
+    rows[n], one integer with slot bits per slot, and tops[n] is the count
+    of z^K.  row(n) unpacks one row, cell(n, k) reads one count.
     """
 
-    __slots__ = ("q", "N", "K", "coeff")
+    __slots__ = ()
 
-    def __init__(self, q: int, N: int, K: int, coeff):
-        rows = tuple(tuple(row) for row in coeff)
-        if len(rows) != N + 1 or any(len(r) != K + 1 for r in rows):
-            raise ValueError("coefficient table must be (N+1) x (K+1)")
-        self.q = q
-        self.N = N
-        self.K = K
-        self.coeff = rows
+    def cell(self, n: int, k: int) -> int:
+        return self.tops[n] if k == self.K else self.rows[n] >> k * self.slot & (1 << self.slot) - 1
 
     def row(self, n: int) -> tuple:
         if not 0 <= n <= self.N:
             raise ValueError(f"row {n} outside [0, {self.N}]")
-        return self.coeff[n]
+        return tuple([self.cell(n, k) for k in range(self.K + 1)])
 
 
 def _check_series_budget(q: int, N: int, K: int, budget: int | None) -> int:
@@ -143,32 +141,34 @@ def _check_series_budget(q: int, N: int, K: int, budget: int | None) -> int:
     return slot
 
 
-def _log_derivative_rows(weights, N: int, K: int, slot: int, finish,
-                         lanes=(), ratio: int = 0) -> list[tuple[int, ...]]:
-    """Rows [n][k] of n F_n = sum_m z^m (sum_t weights[m][t] F_(n-mt) + sum of
-    sign G_s(n) over (sign, s) in lanes[m]), G_s(n) = sum_d ratio^d F_(n-sd);
+def _log_derivative_rows(weights, q: int, N: int, K: int, slot: int, finish,
+                         lanes=(), ratio: int = 0) -> tuple[list[int], list[int]]:
+    """Rows of n F_n = sum_m z^m (sum_t weights[m][t] F_(n-mt) + sum of sign
+    G_s(n) over (sign, s) in lanes[m]), G_s(n) = sum_d ratio^d F_(n-sd);
     signs are folded in.  finish(n, total) turns n F_n, packed in K+1 slots
-    of slot bits, into the packed F_n."""
-    mask = (1 << (K + 1) * slot) - 1
-    low = mask >> slot  # slot K of a row only feeds slots past K, so rows drop it
-    smask, offsets = (1 << slot) - 1, range(0, (K + 1) * slot, slot)
+    of slot bits, into the packed F_n.  Returns (rows, tops): slots 0..K-1
+    of each F_n packed, and its slot K."""
+    low = (1 << K * slot) - 1  # slot K of a row only feeds slots past K, so rows drop it
     geo = {s: [0] * s for lane in lanes[1:] for _, s in lane}  # geo[s][n % s] is G_s(n)
-    rows, out = [1], [(1,) + (0,) * K]
+    rows, tops = [1 & low], [1 >> K * slot]  # F_0 = 1
     for n in range(1, N + 1):
         for s, g in geo.items():
             if s <= n:
                 g[n % s] = ratio * (rows[n - s] + g[n % s])
+        # a term z^m with m past max_omega(q, n) reaches only slots that are
+        # zero in n F_n (mod P too), so it is dropped and those slots masked
+        top = min(K, max_omega(q, n))
         total = 0
-        for m in range(1, min(n, K) + 1):
+        for m in range(1, top + 1):
             # smallest row first: each addition costs the size of the running total
             part = sum(map(mul, weights[m][n // m:0:-1], rows[n % m:n - m + 1:m]))
             for sign, s in lanes[m] if lanes else ():
                 part = part + geo[s][n % s] if sign > 0 else part - geo[s][n % s]
             total += part << m * slot
-        row = finish(n, total & mask)
+        row = finish(n, total & (1 << (top + 1) * slot) - 1)
         rows.append(row & low)
-        out.append(tuple([(row >> s) & smask for s in offsets]))
-    return out
+        tops.append(row >> K * slot)
+    return rows, tops
 
 
 def euler_product_squarefree(
@@ -210,7 +210,7 @@ def euler_product_squarefree(
             raise ConsistencyError(f"squarefree recurrence is not integral at degree {n}")
         return row
 
-    return BiSeries(q, N, K, _log_derivative_rows(weights, N, K, slot, finish, lanes, q))
+    return BiSeries(q, N, K, slot, *_log_derivative_rows(weights, q, N, K, slot, finish, lanes, q))
 
 
 def euler_product_allfactors(
@@ -233,22 +233,24 @@ def euler_product_allfactors(
         raise ValueError("N and K must be >= 1")
     full = max_omega(q, N)
     sf = euler_product_squarefree(q, N, max(1, full), budget=budget)
+    # q-geometric partial sums of squarefree rows, packed as sf packs them:
+    # slot k stays below (n+1) q^n, so no slot carries
+    running, top, wide = 0, sf.K * sf.slot, (1 << sf.slot) - 1
     slot = slot_bits(q, N)
-    slot_mask = (1 << slot) - 1
-    width = max(K, full) + 1
-    coeff = []
-    running = [0] * (full + 1)  # q-geometric partial sums of squarefree rows
+    slot_mask, low = (1 << slot) - 1, (1 << K * slot) - 1
+    rows, tops = [], []
     for n in range(N + 1):
+        running = q * running + (sf.rows[n] | sf.tops[n] << top)
+        sf.rows[n] = None  # each squarefree row is read once
         packed = 0  # running row at z - 1, evaluated at z = 2^slot
-        for k in range(full, -1, -1):
-            running[k] = q * running[k] + sf.coeff[n][k]
-            packed = (packed << slot) - packed + running[k]
-        row = [(packed >> (k * slot)) & slot_mask for k in range(width)]
+        for s in range(top, -1, -sf.slot):
+            packed = (packed << slot) - packed + (running >> s & wide)
         # a negative or oversized count would carry across slots
-        if sum(row) != q**n:
+        if sum(packed >> s & slot_mask for s in range(0, (max(K, full) + 1) * slot, slot)) != q**n:
             raise AssertionError("negative count after basis change; series is corrupt")
-        coeff.append(row[:K + 1])
-    return BiSeries(q, N, K, coeff)
+        rows.append(packed & low)
+        tops.append(packed >> K * slot & slot_mask)
+    return BiSeries(q, N, K, slot, rows, tops)
 
 
 def rising_factorial_over_factorial(n: int, z: complex) -> complex:

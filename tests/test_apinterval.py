@@ -261,7 +261,7 @@ def test_residue_sum_closure():
                 for f, fn, fk in _factored_monics(F3, 7)
                 if fn == n and fk == k and (f % d).is_zero
             )
-            assert over_residues == sf.coeff[n][k] - divisible
+            assert over_residues == sf.cell(n, k) - divisible
 
 
 def test_principal_character_retains_coprime_totals():
@@ -269,10 +269,10 @@ def test_principal_character_retains_coprime_totals():
     g = unit_group(d)
     s = ap_series(d, 6)
     P = next(word_primes(g.exponent))
-    rows = twisted_series(0, CharacterSums(g, 6, P), s.K)
+    series = twisted_series(0, CharacterSums(g, 6, P), s.K)
     for n in range(7):
         for k in range(min(n, s.K) + 1):
-            assert rows[n][k] == _total(s, n, k) % P
+            assert series.cell(n, k) == _total(s, n, k) % P
 
 
 def test_twisted_series_matches_the_class_tables_for_every_character(char_value):
@@ -288,11 +288,11 @@ def test_twisted_series_matches_the_class_tables_for_every_character(char_value)
         sums = CharacterSums(g, N, P)
         for c in range(g.order):
             vals = [sums.powers[char_value(g, c, u)] for u in range(g.order)]
-            rows = twisted_series(c, sums, K)
+            series = twisted_series(c, sums, K)
             for n in range(N + 1):
                 for k in range(K + 1):
                     want = sum(v * s.count(u, n, k) for u, v in enumerate(vals)) % P
-                    assert rows[n][k] == want, (d.text(), c, n, k)
+                    assert series.cell(n, k) == want, (d.text(), c, n, k)
 
 
 def test_character_path_combines_several_primes_by_crt(monkeypatch):
@@ -406,7 +406,7 @@ def test_full_interval_recovers_global_counts():
         for n in range(1, 8):
             g = Poly.x(fld, n)
             for k in range(1, n + 1):
-                assert pi_k_interval_exact(IntervalQuery(n, k, g, n - 1)) == sf.coeff[n][k]
+                assert pi_k_interval_exact(IntervalQuery(n, k, g, n - 1)) == sf.cell(n, k)
 
 
 def test_interval_partition_recovers_global_counts():
@@ -423,7 +423,7 @@ def test_interval_partition_recovers_global_counts():
                 v //= 2
             cs.append(1)
             total += pi_k_interval_exact(IntervalQuery(n, k, Poly(F2, cs), h))
-        assert total == sf.coeff[n][k]
+        assert total == sf.cell(n, k)
 
 
 def test_interval_k_zero_and_k_above_n():

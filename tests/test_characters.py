@@ -774,13 +774,13 @@ def test_twisted_series_principal_matches_coprime_squarefree_counts(char_value):
         P = next(word_primes(group.exponent))
         sums = CharacterSums(group, 6, P)
         for c in range(group.order):
-            rows = twisted_series(c, sums, 6)
+            series = twisted_series(c, sums, 6)
             for n in range(7):
                 for k in range(7):
                     exps = (_value_on(group, c, f, char_value)
                             for f in by_shape.get((n, k), ()))
                     direct = sum(sums.powers[e] for e in exps if e is not None) % P
-                    assert rows[n][k] == direct, (d.text(), c, n, k)
+                    assert series.cell(n, k) == direct, (d.text(), c, n, k)
 
 
 def test_character_prime_sums_match_enumerated_irreducibles(char_value):

@@ -1,6 +1,9 @@
 """CLI exit codes, report formats, and JSON/CSV cross-format consistency."""
 
+import csv
+import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -209,8 +212,8 @@ def test_malformed_poly_echoes_token(capsys):
 
 
 def test_budget_flag_exits_3(capsys):
-    code, _, _ = run_cli(capsys, ["count", "--q", "2", "--n", "50", "--budget", "64"])
-    assert code == 3
+    code, out, _ = run_cli(capsys, ["count", "--q", "2", "--n", "50", "--budget", "64"])
+    assert (code, out) == (3, "")
 
 
 def test_budget_env_exits_3(monkeypatch, capsys):
@@ -262,9 +265,9 @@ def test_counts_zero_by_degree_need_no_table(capsys):
 
 def test_dual_path_mismatch_exits_4(monkeypatch, capsys):
     monkeypatch.setattr(apinterval, "pi_k_ap_chars", lambda qy: -1)
-    code, _, err = run_cli(
+    code, out, err = run_cli(
         capsys, ["ap", "--q", "3", "--d", "0,1", "--g", "1", "--n", "4", "--k", "2"])
-    assert code == 4
+    assert (code, out) == (4, "")  # nothing is written before the report is done
     assert "disagree" in err
 
 
@@ -501,6 +504,59 @@ def test_out_writes_file_and_cleans_up(tmp_path, capsys):
     payload = json.loads(target.read_text())
     assert payload["sum"] == "25/12"
     assert os.listdir(tmp_path) == ["report.json"]
+
+
+with open(os.path.join(os.path.dirname(__file__), "golden", "cases.json"),
+          encoding="utf-8") as _fh:
+    _GOLDEN_ARGVS = [case["argv"] for case in json.load(_fh)]
+
+_BIG_ALL = ["count", "--q", "5", "--n", "232:258", "--mode", "all"]
+
+
+def _one_string_report(argv):
+    """The report rendered whole, as the CLI once built it before writing:
+    json.dumps with indent 2 and a newline, or one CSV buffer."""
+    args = cli._build_parser().parse_args(argv)
+    report = cli._COMMANDS[args.command][0](args)
+    if args.format == "json":
+        return json.dumps(report.payload, indent=2) + "\n"
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(report.header)
+    for row in report.rows:
+        w.writerow([cli._cell(v) for v in row])
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("argv", _GOLDEN_ARGVS + [_BIG_ALL, _BIG_ALL + ["--format", "csv"]],
+                         ids=lambda argv: " ".join(argv))
+def test_reports_written_in_batches_equal_the_whole_text(tmp_path, capsys, argv):
+    code, out, _ = run_cli(capsys, argv)
+    target = tmp_path / "report"
+    assert run_cli(capsys, [*argv, "--out", str(target)])[:2] == (code, "")
+    assert code == 0
+    assert out.encode() == target.read_bytes() == _one_string_report(argv).encode()
+
+
+def test_json_report_is_written_a_batch_of_chunks_at_a_time(monkeypatch, capsys):
+    # the order-242 weil report: about 188 KB in about 25,000 encoder chunks
+    argv = ["weil", "--q", "3", "--d", "2,0,2,2,0,1"]
+    writes = []
+
+    class Counting(io.StringIO):
+        def write(self, text):
+            writes.append(text)
+            return super().write(text)
+
+    monkeypatch.setattr(sys, "stdout", Counting())
+    assert cli.main(argv) == 0
+    monkeypatch.undo()
+    args = cli._build_parser().parse_args(argv)
+    payload = cli._COMMANDS["weil"][0](args).payload
+    chunks = sum(1 for _ in json.JSONEncoder(indent=2).iterencode(payload))
+    assert chunks > cli._BATCH
+    assert 1 < len(writes) <= math.ceil(chunks / cli._BATCH) + 1
+    assert "".join(writes) == json.dumps(payload, indent=2) + "\n"
 
 
 def test_out_to_an_unwritable_target_exits_2(tmp_path, capsys):

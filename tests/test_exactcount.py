@@ -1,9 +1,13 @@
 from __future__ import annotations
 
+import math
+import tracemalloc
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
+from ffcount import exactcount
 from ffcount.algebra import Poly, default_modulus, field, irreducible_count
 from ffcount.apinterval import ap_series
 from ffcount.errors import BudgetExceededError
@@ -46,17 +50,17 @@ def _row_shift_expand(row):
 
 def test_squarefree_series_hand_values_q2():
     s = euler_product_squarefree(2, 4, 4)
-    assert s.coeff[0][0] == 1
-    assert s.coeff[1][1] == 2
-    assert s.coeff[2][1] == 1  # only X^2+X+1 is squarefree irreducible of degree 2
-    assert s.coeff[2][2] == 1  # X(X+1)
-    assert s.coeff[2][0] == 0
+    assert s.cell(0, 0) == 1
+    assert s.cell(1, 1) == 2
+    assert s.cell(2, 1) == 1  # only X^2+X+1 is squarefree irreducible of degree 2
+    assert s.cell(2, 2) == 1  # X(X+1)
+    assert s.cell(2, 0) == 0
 
 
 def test_allfactors_series_hand_values_q2():
     a = euler_product_allfactors(2, 4, 4)
-    assert a.coeff[2][1] == 3  # X^2, (X+1)^2, X^2+X+1
-    assert a.coeff[2][2] == 1
+    assert a.cell(2, 1) == 3  # X^2, (X+1)^2, X^2+X+1
+    assert a.cell(2, 2) == 1
 
 
 def test_row_sums_exact():
@@ -80,8 +84,8 @@ def test_series_against_enumeration_small():
         for n in range(nmax + 1):
             sq, al = brute_force_tables(fld, n)
             for k in range(n + 1):
-                assert s.coeff[n][k] == sq[k], (q, n, k)
-                assert a.coeff[n][k] == al[k], (q, n, k)
+                assert s.cell(n, k) == sq[k], (q, n, k)
+                assert a.cell(n, k) == al[k], (q, n, k)
 
 
 @pytest.mark.parametrize(
@@ -101,7 +105,7 @@ def test_squarefree_series_against_class_tables_mod_x(q, N, K):
             expected = sum(coprime.count(u, n, k) for u in units)
             if n and k:
                 expected += sum(coprime.count(u, n - 1, k - 1) for u in units)
-            assert s.coeff[n][k] == expected, (q, n, k)
+            assert s.cell(n, k) == expected, (q, n, k)
 
 
 @pytest.mark.parametrize("q, N", [(2, 590), (3, 372), (5, 255), (9, 186)])
@@ -114,6 +118,69 @@ def test_allfactors_shift_against_list_oracle(q, N):
     for n in range(N + 1):
         running = [q * r + c for r, c in zip(running, sf.row(n))]
         assert list(al.row(n)) == _row_shift_expand(running), (q, n)
+
+
+def _uncapped_rows(weights, q, N, K, slot, finish, lanes=(), ratio=0):
+    """The log-derivative kernel before it stopped at max_omega(q, n): every
+    z^m up to min(n, K) is summed and the total is masked to K+1 slots."""
+    mask = (1 << (K + 1) * slot) - 1
+    low = mask >> slot
+    geo = {s: [0] * s for lane in lanes[1:] for _, s in lane}
+    rows, tops = [1 & low], [1 >> K * slot]
+    for n in range(1, N + 1):
+        for s, g in geo.items():
+            if s <= n:
+                g[n % s] = ratio * (rows[n - s] + g[n % s])
+        total = 0
+        for m in range(1, min(n, K) + 1):
+            part = sum(map(mul, weights[m][n // m:0:-1], rows[n % m:n - m + 1:m]))
+            for sign, s in lanes[m] if lanes else ():
+                part = part + geo[s][n % s] if sign > 0 else part - geo[s][n % s]
+            total += part << m * slot
+        row = finish(n, total & mask)
+        rows.append(row & low)
+        tops.append(row >> K * slot)
+    return rows, tops
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_kernel_stopped_at_max_omega_matches_the_uncapped_loop(monkeypatch, q):
+    # near the 600-bit cap, in both modes: the squarefree table that the
+    # all-factors build reads (recorded before it drops its rows) and the
+    # all-factors table itself
+    N = int(600 / math.log2(q) + 1e-9)
+    real = exactcount.euler_product_squarefree
+    tables = []
+
+    def recorded(*args, **kwargs):
+        s = real(*args, **kwargs)
+        tables.append((s.K, s.slot, list(s.rows), list(s.tops)))
+        return s
+
+    monkeypatch.setattr(exactcount, "euler_product_squarefree", recorded)
+    al = euler_product_allfactors(q, N)
+    monkeypatch.setattr(exactcount, "_log_derivative_rows", _uncapped_rows)
+    ref = euler_product_allfactors(q, N)
+    assert tables[0] == tables[1] and tables[0][0] == max_omega(q, N)
+    assert (al.rows, al.tops) == (ref.rows, ref.tops)
+
+
+@pytest.mark.parametrize("build, args, bound", [
+    (euler_product_squarefree, (3, 327, 76), 2_000_000),
+    (euler_product_allfactors, (5, 258), 1_600_000),
+], ids=["squarefree", "allfactors"])
+def test_table_memory_stays_packed(build, args, bound):
+    # each table is held once, packed: 1.3 and 1.4 MB here, where unpacked
+    # cells and a second copy of the table peaked at 2.8 MB each; the
+    # all-factors build drops each squarefree row once it has read it, and
+    # keeping those rows would peak at 1.8 MB
+    tracemalloc.start()
+    try:
+        build(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound, peak
 
 
 def test_brute_force_count_modes():
@@ -151,14 +218,14 @@ def test_max_omega_matches_enumeration():
 def test_cauchy_extract_reproduces_counts():
     s = euler_product_squarefree(2, 10, 10)
     for k in (1, 2, 3):
-        exact = s.coeff[10][k]
+        exact = s.cell(10, k)
         got = cauchy_extract(s, 10, k, M=256)
         assert abs(got - exact) <= 1e-6 * exact
 
 
 def test_cauchy_extract_radius_free_within_tolerance():
     s = euler_product_squarefree(2, 10, 10)
-    exact = s.coeff[10][2]
+    exact = s.cell(10, 2)
     for r in (0.2, 0.5, 1.0):
         got = cauchy_extract(s, 10, 2, r=r, M=256)
         assert abs(got - exact) <= 1e-6 * exact
