@@ -582,7 +582,8 @@ def _check_tol(tol: float) -> None:
 def weil_check(group: UnitGroup, c: int, tol: float = 1e-6) -> dict:
     """Classify inverse-root moduli of L(T, chi) against {1, sqrt(q)}, chi of index c.
 
-    Returns a report dict; "ok" is True when every root modulus is within
+    Returns chi's entry of the weil report: exponents, degree_deficit, ok
+    and inverse_roots.  "ok" is True when every root modulus is within
     tol (0 <= tol < inf) of one of the two predicted values.  Missing
     degree (effective degree below m-1) is reported as degree_deficit
     rather than as zero roots.
@@ -601,13 +602,10 @@ def weil_check(group: UnitGroup, c: int, tol: float = 1e-6) -> dict:
             ok = False
         roots.append({"re": a.real, "im": a.imag, "modulus": mod, "class": cls})
     return {
-        "q": group.q,
-        "modulus": group.d.text(),
         "exponents": list(lp.exponents),
-        "inverse_roots": roots,
         "degree_deficit": (group.m - 1) - lp.effective_degree,
         "ok": ok,
-        "coefficient_convention": L_COEFF_NOTE,
+        "inverse_roots": roots,
     }
 
 

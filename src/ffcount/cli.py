@@ -16,6 +16,13 @@ Representation conventions used throughout this module:
 * Counts can exceed 2**53, so JSON carries them as decimal strings.  CSV
   cells are bare literals; every numeric CSV cell parses as JSON to the
   number the JSON report carries (big counts via their decimal strings).
+* A command builds only the JSON payload; the CSV report is a view of it.
+  The report's columns are the CSV header, and its path names the nested
+  lists whose innermost items are the rows (an empty path: one row, read
+  from the payload itself).  A cell is read from the innermost item on
+  the path that has the column's key; if a "<key>_float" key sits beside
+  it, the cell takes that value instead, and a list cell is joined with
+  ";".
 * Reports are byte-identical across repeated identical invocations: keys
   are inserted in fixed order, floats print via repr, rows are ordered by
   parameter tuple, and nothing reads the clock.  The table commands
@@ -96,8 +103,8 @@ class UsageError(Exception):
     """Bad flag combinations or malformed argument values; exit code 2."""
 
 
-class Report(namedtuple("Report", "payload header rows exit_code", defaults=((), 0))):
-    """A command's result: the JSON payload, the CSV header and rows, the exit code."""
+class Report(namedtuple("Report", "payload columns path exit_code", defaults=((), 0))):
+    """A command's result: the JSON payload, the CSV columns and row path, the exit code."""
 
     __slots__ = ()
 
@@ -203,7 +210,21 @@ def _cell(v) -> str:
         return "true" if v else "false"
     if isinstance(v, float):
         return repr(v)
+    if isinstance(v, list):
+        return ";".join(map(_cell, v))
     return str(v)
+
+
+def _csv_rows(items: tuple, path: tuple, columns: tuple):
+    """The CSV rows below items, the chain of nested report items from the
+    innermost out to the payload, along the rest of the row path; each row
+    holds its columns' values, read by the rule of the module docstring."""
+    if path:
+        for item in items[0][path[0]]:
+            yield from _csv_rows((item, *items), path[1:], columns)
+    else:
+        holders = [next(i for i in items if key in i) for key in columns]
+        yield [h.get(key + "_float", h[key]) for h, key in zip(holders, columns)]
 
 
 def _batches(report: Report, fmt: str):
@@ -216,7 +237,8 @@ def _batches(report: Report, fmt: str):
 
         # writerow returns what its file's write returns: here, the line itself
         w = csv.writer(argparse.Namespace(write=str), lineterminator="\n")
-        rows = chain((report.header,), report.rows)
+        rows = chain((report.columns,),
+                     _csv_rows((report.payload,), report.path, report.columns))
         pieces, tail = (w.writerow([_cell(v) for v in row]) for row in rows), ()
     return chain(map("".join, iter(lambda: list(islice(pieces, _BATCH)), [])), tail)
 
@@ -254,19 +276,14 @@ def cmd_count(args) -> Report:
     K = max(1, min(max(krange), cap))  # the builders need K >= 1
     build = euler_product_squarefree if args.mode == "squarefree" else euler_product_allfactors
     series = build(q, max(N, 1), K, budget=args.budget)
-    rows = []
-    for n in nrange:
-        table = series.row(n)
-        for k in krange:
-            count = table[k] if k <= K else 0
-            rows.append((q, n, k, count))
     payload = {
         "command": "count",
         "q": q,
         "mode": args.mode,
-        "rows": [{"n": n, "k": k, "count": str(c)} for _, n, k, c in rows],
+        "rows": [{"n": n, "k": k, "count": str(series.cell(n, k) if k <= K else 0)}
+                 for n in nrange for k in krange],
     }
-    return Report(payload, ("q", "n", "k", "count"), rows)
+    return Report(payload, ("q", "n", "k", "count"), ("rows",))
 
 
 def cmd_asym(args) -> Report:
@@ -274,17 +291,15 @@ def cmd_asym(args) -> Report:
     cfg = asym.AnalyticConfig(A=args.A)
     nrange = _parse_range(args.n, "--n")
     krange = _parse_range(args.k, "--k")
-    rows = []
-    for n in nrange:
-        for k in krange:
-            rows.append((q, n, k, asym.main_term_thm1(q, n, k, cfg, override=args.override)))
     payload = {
         "command": "asym",
         "q": q,
         "A": args.A,
-        "rows": [{"n": n, "k": k, "main_term_lnAbs": v} for _, n, k, v in rows],
+        "rows": [{"n": n, "k": k, "main_term_lnAbs":
+                  asym.main_term_thm1(q, n, k, cfg, override=args.override)}
+                 for n in nrange for k in krange],
     }
-    return Report(payload, ("q", "n", "k", "main_term_lnAbs"), rows)
+    return Report(payload, ("q", "n", "k", "main_term_lnAbs"), ("rows",))
 
 
 def cmd_compare(args) -> Report:
@@ -299,35 +314,26 @@ def cmd_compare(args) -> Report:
     series = euler_product_squarefree(q, N, K, budget=args.budget)
     rows = []
     for n in nrange:
-        table = series.row(n)
         for k in krange:
-            exact = table[k] if k <= K else 0
+            exact = series.cell(n, k) if k <= K else 0
             core = asym._thm1(q, n, k, cfg, False)  # one G(r) serves both columns
             m = asym._main_term(*core)
-            rows.append((q, n, k, exact, m,
-                         asym.ratio_to_main(exact, m),
-                         asym._normalized_error(exact, n, k, *core)))
-    payload = {
-        "command": "compare",
-        "q": q,
-        "A": args.A,
-        "rows": [
-            {"n": n, "k": k, "exact": str(e), "main_term_lnAbs": ml,
-             "ratio": r, "normalized_error": ne}
-            for _, n, k, e, ml, r, ne in rows
-        ],
-    }
+            rows.append({"n": n, "k": k, "exact": str(exact), "main_term_lnAbs": m,
+                         "ratio": asym.ratio_to_main(exact, m),
+                         "normalized_error": asym._normalized_error(exact, n, k, *core)})
+    payload = {"command": "compare", "q": q, "A": args.A, "rows": rows}
     return Report(
         payload,
         ("q", "n", "k", "exact", "main_term_lnAbs", "ratio", "normalized_error"),
-        rows)
+        ("rows",))
 
 
-def _dual_path_report(label, qy, exact, chars, term, payload, header, row) -> Report:
+def _dual_path_report(label, qy, exact, chars, term, payload) -> Report:
     """Finish an ap or interval report: the character-path check, the main
     term (evaluated with override outside its proven range, null where it
     is undefined) and the report tail.  chars(qy) and term(override=...)
-    are the command's own.
+    are the command's own.  The CSV row is every payload field but the
+    command and paths_agree, which a written report always has true.
     """
     char_path = chars(qy)
     if char_path != exact:
@@ -346,8 +352,7 @@ def _dual_path_report(label, qy, exact, chars, term, payload, header, row) -> Re
             pass
     payload.update(exact=str(exact), char_path=str(char_path), paths_agree=True,
                    main_term_lnAbs=main_ln, in_proven_range=in_range)
-    header += ("exact", "char_path", "main_term_lnAbs", "in_proven_range")
-    return Report(payload, header, [row + (exact, char_path, main_ln, in_range)])
+    return Report(payload, tuple(k for k in payload if k not in ("command", "paths_agree")))
 
 
 def cmd_ap(args) -> Report:
@@ -362,8 +367,7 @@ def cmd_ap(args) -> Report:
     payload = {"command": "ap", "q": q, "d": d.text(), "g": g.text(), "n": n, "k": k}
     return _dual_path_report(
         "progression", qy, exact, apinterval.pi_k_ap_chars,
-        lambda **kw: asym.main_term_thm2(n, k, d, cfg, **kw),
-        payload, ("q", "d", "g", "n", "k"), (q, d.text(), g.text(), n, k))
+        lambda **kw: asym.main_term_thm2(n, k, d, cfg, **kw), payload)
 
 
 def cmd_interval(args) -> Report:
@@ -378,8 +382,7 @@ def cmd_interval(args) -> Report:
     payload = {"command": "interval", "q": q, "g": g.text(), "n": n, "h": h, "k": k}
     return _dual_path_report(
         "interval", qy, exact, apinterval.pi_k_interval_chars,
-        lambda **kw: asym.main_term_thm3(q, n, k, h, cfg, **kw),
-        payload, ("q", "g", "n", "h", "k"), (q, g.text(), n, h, k))
+        lambda **kw: asym.main_term_thm3(q, n, k, h, cfg, **kw), payload)
 
 
 def cmd_weil(args) -> Report:
@@ -388,34 +391,17 @@ def cmd_weil(args) -> Report:
     # also on an order-1 group, which has no character to check
     characters._check_tol(args.tol)
     group = characters.unit_group(d)
-    reports = []
-    rows = []
-    all_ok = True
-    for c in range(1, group.order):
-        rep = characters.weil_check(group, c, tol=args.tol)
-        all_ok = all_ok and rep["ok"]
-        reports.append({
-            "exponents": rep["exponents"],
-            "degree_deficit": rep["degree_deficit"],
-            "ok": rep["ok"],
-            "inverse_roots": rep["inverse_roots"],
-        })
-        exps = ";".join(str(e) for e in rep["exponents"])
-        for root in rep["inverse_roots"]:
-            rows.append((fld.q, d.text(), exps, root["re"], root["im"],
-                         root["modulus"], root["class"],
-                         rep["degree_deficit"], rep["ok"]))
+    reports = [characters.weil_check(group, c, tol=args.tol) for c in range(1, group.order)]
     payload = {
         "command": "weil",
         "q": fld.q,
         "d": d.text(),
         "characters": reports,
-        "all_ok": all_ok,
+        "all_ok": all(rep["ok"] for rep in reports),
         "coefficient_convention": characters.L_COEFF_NOTE,
     }
-    header = ("q", "d", "exponents", "re", "im", "modulus", "class",
-              "degree_deficit", "ok")
-    return Report(payload, header, rows)
+    columns = ("q", "d", "exponents", "re", "im", "modulus", "class", "degree_deficit", "ok")
+    return Report(payload, columns, ("characters", "inverse_roots"))
 
 
 def cmd_omega_stats(args) -> Report:
@@ -426,23 +412,21 @@ def cmd_omega_stats(args) -> Report:
     N = max(nrange)
     series = euler_product_allfactors(q, N, max_omega(q, N), budget=args.budget)
     rows = []
-    jrows = []
     for n in nrange:
         mom = omega_moments(series, n)
         check = omega_mean_exact(q, n)
         if mom.mean != check:
             raise ConsistencyError(
                 f"mean mismatch at n = {n}: table {mom.mean}, direct sum {check}")
-        rows.append((q, n, float(mom.mean), float(mom.variance)))
-        jrows.append({
+        rows.append({
             "n": n,
             "mean": str(mom.mean),
             "mean_float": float(mom.mean),
             "variance": str(mom.variance),
             "variance_float": float(mom.variance),
         })
-    payload = {"command": "omega-stats", "q": q, "rows": jrows}
-    return Report(payload, ("q", "n", "mean", "variance"), rows)
+    payload = {"command": "omega-stats", "q": q, "rows": rows}
+    return Report(payload, ("q", "n", "mean", "variance"), ("rows",))
 
 
 def cmd_qlimit(args) -> Report:
@@ -456,15 +440,12 @@ def cmd_qlimit(args) -> Report:
         "sum": str(s),
         "sum_float": float(s),
     }
-    row = [n, k, float(s)]
-    header = ["n", "k", "sum"]
+    columns = ("n", "k", "sum")
     if q is not None:
-        ln_count = asym.qlimit_count(q, n, k)
         payload["q"] = q
-        payload["count_lnAbs"] = ln_count
-        header += ["q", "count_lnAbs"]
-        row += [q, ln_count]
-    return Report(payload, tuple(header), [tuple(row)])
+        payload["count_lnAbs"] = asym.qlimit_count(q, n, k)
+        columns += ("q", "count_lnAbs")
+    return Report(payload, columns)
 
 
 def _selftest_checks():
@@ -538,21 +519,15 @@ def _selftest_checks():
 
 def cmd_selftest(args) -> Report:
     checks = []
-    rows = []
-    all_ok = True
     for name, fn in _selftest_checks():
         try:
-            ok = bool(fn())
-            entry = {"name": name, "ok": ok}
+            checks.append({"name": name, "ok": bool(fn())})
         except Exception as exc:  # a crashed check is a failed check
-            ok = False
-            entry = {"name": name, "ok": False,
-                     "detail": f"{type(exc).__name__}: {exc}"}
-        checks.append(entry)
-        rows.append((name, ok))
-        all_ok = all_ok and ok
+            checks.append({"name": name, "ok": False,
+                           "detail": f"{type(exc).__name__}: {exc}"})
+    all_ok = all(check["ok"] for check in checks)
     payload = {"command": "selftest", "checks": checks, "ok": all_ok}
-    return Report(payload, ("name", "ok"), rows, exit_code=0 if all_ok else 4)
+    return Report(payload, ("name", "ok"), ("checks",), exit_code=0 if all_ok else 4)
 
 
 # each command's function and help, in the order that --help lists them

@@ -458,24 +458,89 @@ def test_range_parser():
         cli._parse_range("a", "x")
 
 
-def test_compare_csv_cells_match_json(capsys):
-    argv = ["compare", "--q", "2", "--n", "10:20:x2", "--k", "1:2", "--A", "2"]
+def _csv_view(payload, columns, path):
+    """The CSV rows a report's payload should give, as values: the chains of
+    nested items along path, flattened level by level, each column read from
+    the innermost item of its chain that has it, or from its _float twin."""
+    chains = [[payload]]
+    for key in path:
+        chains = [chain + [item] for chain in chains for item in chain[-1][key]]
+    rows = []
+    for chain in chains:
+        row = []
+        for col in columns:
+            holder = [item for item in chain if col in item][-1]
+            row.append(holder.get(col + "_float", holder[col]))
+        rows.append(row)
+    return rows
+
+
+def _csv_text(v):
+    """A CSV cell as the report contract spells it."""
+    if v is None:
+        return ""
+    if isinstance(v, bool):
+        return json.dumps(v)
+    if isinstance(v, list):
+        return ";".join(_csv_text(x) for x in v)
+    return repr(v) if isinstance(v, float) else str(v)
+
+
+# each command: an argv, its CSV columns and the nested lists its rows come from
+_CSV_CASES = {
+    "count": (["count", "--q", "2", "--n", "119:120", "--k", "0:2"],
+              ["q", "n", "k", "count"], ["rows"]),
+    "asym": (["asym", "--q", "2", "--n", "10:20:x2", "--k", "1:2"],
+             ["q", "n", "k", "main_term_lnAbs"], ["rows"]),
+    "compare": (["compare", "--q", "2", "--n", "10:20:x2", "--k", "1:2", "--A", "2"],
+                ["q", "n", "k", "exact", "main_term_lnAbs", "ratio", "normalized_error"],
+                ["rows"]),
+    "ap": (["ap", "--q", "2", "--d", "0,0,0,1", "--g", "1", "--n", "10", "--k", "9"],
+           ["q", "d", "g", "n", "k", "exact", "char_path", "main_term_lnAbs",
+            "in_proven_range"], []),
+    "interval": (["interval", "--q", "2", "--g", "0,0,0,0,0,0,1", "--h", "3", "--k", "2"],
+                 ["q", "g", "n", "h", "k", "exact", "char_path", "main_term_lnAbs",
+                  "in_proven_range"], []),
+    "weil": (["weil", "--q", "2", "--d", "0,0,0,0,1"],
+             ["q", "d", "exponents", "re", "im", "modulus", "class", "degree_deficit", "ok"],
+             ["characters", "inverse_roots"]),
+    "omega-stats": (["omega-stats", "--q", "3", "--n", "1:4"],
+                    ["q", "n", "mean", "variance"], ["rows"]),
+    "qlimit": (["qlimit", "--n", "5", "--k", "2", "--q", "101"],
+               ["n", "k", "sum", "q", "count_lnAbs"], []),
+    "selftest": (["selftest"], ["name", "ok"], ["checks"]),
+}
+
+
+@pytest.mark.parametrize("command", _CSV_CASES)
+def test_csv_cells_match_json(capsys, command):
+    # every CSV cell is the JSON value in the report's literal spelling: a
+    # decimal string verbatim, and parsing as JSON to the number it carries
+    # (the _float twin where there is one), a list joined with ";"
+    argv, columns, path = _CSV_CASES[command]
     code, jout, _ = run_cli(capsys, argv)
     assert code == 0
     code, cout, _ = run_cli(capsys, argv + ["--format", "csv"])
     assert code == 0
-    lines = cout.strip().split("\n")
-    assert lines[0] == "q,n,k,exact,main_term_lnAbs,ratio,normalized_error"
-    payload = json.loads(jout)
-    assert len(lines) - 1 == len(payload["rows"]) == 4
-    for line, row in zip(lines[1:], payload["rows"]):
-        cells = line.split(",")
-        assert json.loads(cells[1]) == row["n"]
-        assert json.loads(cells[2]) == row["k"]
-        assert json.loads(cells[3]) == int(row["exact"])
-        assert json.loads(cells[4]) == row["main_term_lnAbs"]
-        assert json.loads(cells[5]) == row["ratio"]
-        assert json.loads(cells[6]) == row["normalized_error"]
+    header, *lines = list(csv.reader(io.StringIO(cout)))
+    assert header == columns
+    want = _csv_view(json.loads(jout), columns, path)
+    assert len(lines) == len(want) > 0
+    for cells, values in zip(lines, want):
+        assert len(cells) == len(values)
+        for cell, v in zip(cells, values):
+            if v is None:
+                assert cell == ""
+            elif isinstance(v, str):
+                assert cell == v
+                if v.isdigit():
+                    assert json.loads(cell) == int(v)
+            elif isinstance(v, list):
+                assert [json.loads(x) for x in cell.split(";")] == v
+            else:
+                assert json.loads(cell) == v
+    if command == "compare":
+        assert len(lines) == 4
 
 
 def test_csv_big_count_cell_roundtrips(capsys):
@@ -522,9 +587,9 @@ def _one_string_report(argv):
         return json.dumps(report.payload, indent=2) + "\n"
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
-    w.writerow(report.header)
-    for row in report.rows:
-        w.writerow([cli._cell(v) for v in row])
+    w.writerow(report.columns)
+    for row in _csv_view(report.payload, report.columns, report.path):
+        w.writerow([_csv_text(v) for v in row])
     return buf.getvalue()
 
 

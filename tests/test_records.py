@@ -31,8 +31,8 @@ RECORDS = [
                     "histogram": {1: 2, 2: 2}}, {}, []),
     (LPoly, {"exponents": (1,), "coeffs": (1, 1j), "effective_degree": 1,
              "inverse_roots": (1j,), "residual": 0.0}, {}, []),
-    (Report, {"payload": {"command": "x"}, "header": ("a",), "rows": [(1,)], "exit_code": 4},
-     {"rows": (), "exit_code": 0}, []),
+    (Report, {"payload": {"command": "x"}, "columns": ("a",), "path": ("rows",), "exit_code": 4},
+     {"path": (), "exit_code": 0}, []),
 ]
 
 
