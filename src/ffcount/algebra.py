@@ -36,59 +36,14 @@ from collections import namedtuple
 from collections.abc import Iterator
 from functools import lru_cache
 
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, ConsistencyError
+from .exactcount import _int_factorization, _is_prime_mr, irreducible_count
 
 NEG_INF = float("-inf")
 
 DEFAULT_ENUM_BUDGET = 2_000_000
 
 _EXTENSION_Q_LIMIT = 64
-
-
-def _is_prime_int(n: int) -> bool:
-    """Trial division, about sqrt(n) steps: the test oracle of _is_prime_mr."""
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
-
-
-# Miller-Rabin with the first 13 prime bases is exact below this bound
-# (Sorenson and Webster); the character path's primes are below 2^62
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_MR_EXACT_BELOW = 3317044064679887385961981
-
-
-def _is_prime_mr(n: int) -> bool:
-    """Deterministic Miller-Rabin test for n below 3.3e24."""
-    if n >= _MR_EXACT_BELOW:
-        raise ValueError("the Miller-Rabin bases are only proven below 3.3e24")
-    if n < 2:
-        return False
-    for a in _MR_BASES:
-        if n % a == 0:
-            return n == a
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
 
 
 def _field_modulus(p: int, e: int, modulus, limit: int | None = None):
@@ -540,41 +495,6 @@ def involute(f: Poly) -> Poly:
     return Poly._raw(f.field, _trim(list(reversed(f.coeffs))))
 
 
-def _int_factorization(n: int) -> dict[int, int]:
-    out: dict[int, int] = {}
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
-
-
-def _mobius_int(n: int) -> int:
-    fac = _int_factorization(n)
-    if any(a > 1 for a in fac.values()):
-        return 0
-    return -1 if len(fac) % 2 else 1
-
-
-@lru_cache(maxsize=None)
-def irreducible_count(q, n: int) -> int:
-    """Number of monic irreducibles of degree n over F_q (q an integer or FieldSpec)."""
-    if isinstance(q, FieldSpec):
-        q = q.q
-    if n < 1:
-        raise ValueError("degree must be >= 1")
-    total = 0
-    for d in range(1, n + 1):
-        if n % d == 0:
-            total += _mobius_int(n // d) * q**d
-    assert total % n == 0
-    return total // n
-
-
 def _monic_coeffs_from_index(field: FieldSpec, n: int, idx: int) -> tuple[int, ...]:
     q = field.q
     out = []
@@ -638,7 +558,7 @@ def _irreducible_coeff_table(field: FieldSpec, n: int) -> tuple:
         )
     count = irreducible_count(q, n)
     if len(table) != count:
-        raise AssertionError(
+        raise ConsistencyError(
             f"sieve found {len(table)} irreducibles of degree {n}, expected {count}"
         )
     _IRR_TABLES[key] = table

@@ -37,9 +37,8 @@ import sys
 from collections import namedtuple
 from functools import lru_cache
 
-from .algebra import Poly, factor_stats, irreducible_count, phi_poly
 from .errors import OutsideProvenRangeError, UndefinedMainTermError
-from .exactcount import _coerce_q, rising_factorial_over_factorial
+from .exactcount import _coerce_q, irreducible_count, rising_factorial_over_factorial
 
 __all__ = [
     "AnalyticConfig",
@@ -230,6 +229,8 @@ def bigGd(z, d: Poly, cfg: AnalyticConfig | None = None):
     """bigG corrected by the distinct irreducible divisors of the modulus d."""
     if d.degree < 1:
         raise ValueError("modulus must be nonconstant")
+    from .algebra import factor_stats  # only Theorem 2 factors a polynomial
+
     q = d.field.q
     zc = complex(z)
     corr = 1 + 0j
@@ -322,6 +323,8 @@ def _thm2(n: int, k: int, d: Poly, cfg: AnalyticConfig | None, override: bool):
         if bound is None or d.degree > bound:
             raise OutsideProvenRangeError(
                 "modulus degree outside the proven range; pass override=True")
+    from .algebra import phi_poly  # only Theorem 2 factors a polynomial
+
     ln_unit = _ln_k_prefactor(n, k) - math.log(n) + n * math.log(q) - ln_exact(phi_poly(d))
     return ln_unit, (_bracket(bigGd, (k - 1) / math.log(n), d, cfg),)
 

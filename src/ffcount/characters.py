@@ -63,15 +63,13 @@ from .algebra import (
     Poly,
     enumerate_irreducibles,
     factor_stats,
-    irreducible_count,
     phi_poly,
     poly_gcd,
-    _int_factorization,
-    _is_prime_mr,
     _monic_coeffs_from_index,
 )
 from .errors import BudgetExceededError, ConsistencyError, RootFindingError
-from .exactcount import BiSeries, _log_derivative_rows
+from .exactcount import (BiSeries, _int_factorization, _is_prime_mr, _log_derivative_rows,
+                         irreducible_count)
 
 __all__ = [
     "CharacterSums",
@@ -125,7 +123,9 @@ class UnitGroup:
             if g.degree == 0:
                 index[f.coeffs] = len(elems)
                 elems.append(f)
-        assert len(elems) == self.order
+        if len(elems) != self.order:
+            raise ConsistencyError(
+                f"{len(elems)} units modulo {d.text()}, but phi(d) = {self.order}")
         self.elements: tuple[Poly, ...] = tuple(elems)
         self._index = index
         self._build_structure()
@@ -263,7 +263,9 @@ class UnitGroup:
             for p in powers:
                 coset[mul(x, p)] = cid
         qsize = size // best_ord
-        assert len(reps) == qsize
+        if len(reps) != qsize:
+            raise ConsistencyError(f"{len(reps)} cosets of an order-{best_ord} subgroup, "
+                                   f"expected {qsize}")
 
         def qmul(a, b):
             return coset[mul(reps[a], reps[b])]
@@ -275,7 +277,8 @@ class UnitGroup:
             v = reps[qgen]
             # v^n lies in <best> as best^t with n | t; correct by best^(-t/n)
             tpow = powers.index(_power(mul, identity, v, n))
-            assert tpow % n == 0
+            if tpow % n:
+                raise ConsistencyError(f"v^{n} is best^{tpow}, and {n} does not divide {tpow}")
             shift = (-(tpow // n)) % best_ord
             adj = v
             for _ in range(shift):

@@ -26,20 +26,24 @@ Representation conventions used throughout this module:
 * Reports are byte-identical across repeated identical invocations: keys
   are inserted in fixed order, floats print via repr, rows are ordered by
   parameter tuple, and nothing reads the clock.  The table commands
-  honor FFCOUNT_BUDGET_BYTES and the --budget override.
+  honor FFCOUNT_BUDGET_BYTES and the --budget override; a negative
+  budget from either is a usage error.
 * --out writes to a temporary file in the destination directory and
   renames it over the target, so readers never see a partial report; a
   target that cannot be written is a usage error and leaves no temp file.
 * Each command runs only the layers it calls, since every command is a
-  fresh interpreter that compiles what it runs: ``characters``,
-  ``apinterval`` and ``asym`` are lazy modules, run on first attribute
-  access.  ``count`` and ``omega-stats`` run none of them; ``compare``,
-  ``asym`` and ``qlimit`` run ``asym``; ``weil`` runs ``characters``;
-  ``ap``, ``interval`` and ``selftest`` run all three.  ``algebra`` and
-  ``exactcount`` are imported eagerly, because every command calls them
-  (field and q parsing, ``max_omega``), so deferring them would save no
-  command anything.  ``fractions`` is imported only where a Fraction is
-  built: ``omega-stats``, ``qlimit`` and ``selftest``.
+  fresh interpreter that compiles what it runs: ``algebra``,
+  ``characters``, ``apinterval`` and ``asym`` are lazy modules, run on
+  first attribute access.  ``count`` and ``omega-stats`` run none of them;
+  ``compare``, ``asym`` and ``qlimit`` run ``asym``; ``weil`` runs
+  ``algebra`` and ``characters``; ``ap``, ``interval`` and ``selftest``
+  run all four.  A field given by --p, --e and --modulus runs ``algebra``
+  in any command, which checks p and the modulus; a --q is checked by its
+  prime-power split alone.  Only ``exactcount`` is imported eagerly: every
+  command calls it (``max_omega``, Miller-Rabin for --q), and it holds the
+  integer helpers, so the global counts need no polynomial layer.
+  ``fractions`` is imported only where a Fraction is built:
+  ``omega-stats``, ``qlimit`` and ``selftest``.
 
 Exit codes: 0 success, 2 usage error, 3 budget exceeded, 4 consistency
 failure (the exact and character counts of ap or interval differ, or a
@@ -56,7 +60,6 @@ from collections import namedtuple
 from importlib.util import LazyLoader, find_spec, module_from_spec
 from itertools import chain, islice
 
-from .algebra import FieldSpec, Poly, _field_modulus, _is_prime_mr, field, parse_poly
 from .errors import (
     BudgetExceededError,
     ConsistencyError,
@@ -65,6 +68,7 @@ from .errors import (
     UndefinedMainTermError,
 )
 from .exactcount import (
+    _is_prime_mr,
     brute_force_count,
     cauchy_extract,
     euler_product_allfactors,
@@ -90,6 +94,7 @@ def _lazy(name: str):
     return module
 
 
+algebra = _lazy("algebra")
 characters = _lazy("characters")
 apinterval = _lazy("apinterval")
 asym = _lazy("asym")
@@ -188,17 +193,19 @@ def _field_args(args, required: bool = True) -> tuple | None:
 def _q_from_args(args, required: bool = True) -> int | None:
     """q for the commands whose recurrences need only the integer: the field
     flags are checked as a FieldSpec checks them, but no default modulus is
-    searched for and no tables are built, so their size limit does not apply."""
+    searched for and no tables are built, so their size limit does not apply.
+    A --q is checked by its prime-power split alone."""
     spec = _field_args(args, required)
     if spec is None:
         return None
-    _field_modulus(*spec)
+    if args.q is None:
+        algebra._field_modulus(*spec)
     return spec[0] ** spec[1]
 
 
-def _poly_arg(fld: FieldSpec, text: str, what: str) -> Poly:
+def _poly_arg(fld: algebra.FieldSpec, text: str, what: str) -> algebra.Poly:
     try:
-        return parse_poly(fld, text)
+        return algebra.parse_poly(fld, text)
     except ValueError as exc:
         raise UsageError(f"--{what}: bad polynomial {text!r} ({exc})") from None
 
@@ -356,7 +363,7 @@ def _dual_path_report(label, qy, exact, chars, term, payload) -> Report:
 
 
 def cmd_ap(args) -> Report:
-    fld = field(*_field_args(args))
+    fld = algebra.field(*_field_args(args))
     q = fld.q
     cfg = asym.AnalyticConfig(A=args.A)
     d = _poly_arg(fld, args.d, "d")
@@ -371,7 +378,7 @@ def cmd_ap(args) -> Report:
 
 
 def cmd_interval(args) -> Report:
-    fld = field(*_field_args(args))
+    fld = algebra.field(*_field_args(args))
     q = fld.q
     cfg = asym.AnalyticConfig(A=args.A)
     g = _poly_arg(fld, args.g, "g")
@@ -386,7 +393,7 @@ def cmd_interval(args) -> Report:
 
 
 def cmd_weil(args) -> Report:
-    fld = field(*_field_args(args))
+    fld = algebra.field(*_field_args(args))
     d = _poly_arg(fld, args.d, "d")
     # also on an order-1 group, which has no character to check
     characters._check_tol(args.tol)
@@ -449,8 +456,8 @@ def cmd_qlimit(args) -> Report:
 
 
 def _selftest_checks():
-    f2 = FieldSpec(2)
-    f3 = FieldSpec(3)
+    f2 = algebra.FieldSpec(2)
+    f3 = algebra.FieldSpec(3)
 
     def global_vs_brute():
         series = euler_product_squarefree(2, 5)
@@ -474,19 +481,19 @@ def _selftest_checks():
         return ok and abs(g45 - 3.5 * asym.gamma_real(3.5)) < 1e-12 * g45
 
     def weil_mod_x2_plus_1():
-        group = characters.unit_group(parse_poly(f3, "1,0,1"))
+        group = characters.unit_group(algebra.parse_poly(f3, "1,0,1"))
         return group.order == 8 and all(
             characters.weil_check(group, c)["ok"] for c in range(1, group.order))
 
     def progression_paths():
-        qy = apinterval.APQuery(4, 2, parse_poly(f3, "1"), parse_poly(f3, "0,1"))
+        qy = apinterval.APQuery(4, 2, algebra.parse_poly(f3, "1"), algebra.parse_poly(f3, "0,1"))
         exact = apinterval.pi_k_ap_exact(qy)
         if exact != apinterval.ap_enumerate(qy):
             return False
         return apinterval.pi_k_ap_chars(qy) == exact
 
     def interval_involution():
-        g = Poly.x(f2, 5)
+        g = algebra.Poly.x(f2, 5)
         for h in range(5):
             for k in range(1, 6):
                 qy = apinterval.IntervalQuery(5, k, g, h)
@@ -544,6 +551,18 @@ _COMMANDS = {
 }
 
 
+def _byte_count(text: str) -> int:
+    """A --budget value: a whole number of bytes, at least 0; argparse names
+    the flag when it refuses one."""
+    try:
+        budget = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if budget < 0:
+        raise argparse.ArgumentTypeError(f"a byte count must be >= 0, got {budget}")
+    return budget
+
+
 def _add_common(p, with_field=True, builds_table=False):
     if with_field:
         p.add_argument("--q", type=int, help="field size, a prime power")
@@ -553,7 +572,7 @@ def _add_common(p, with_field=True, builds_table=False):
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--out", help="write the report to this path atomically")
     if builds_table:
-        p.add_argument("--budget", type=int, default=None,
+        p.add_argument("--budget", type=_byte_count, default=None,
                        help="memory cap in bytes for the table builders")
 
 

@@ -36,6 +36,12 @@ full product is the squarefree series evaluated at z - 1, convolved with
 the geometric series sum_n q^n T^n, and re-expanded around z.  The
 re-expansion is one packed Horner evaluation at X - 1, X = 2^slot, per
 row: the all-factor counts lie in [0, q^n], so they are its base-X digits.
+
+The integer number theory lives here too, since it needs no polynomial:
+the irreducible count Pi(d), the Mobius function, integer factorization
+and the Miller-Rabin test.  The global tables use only q and Pi, so this
+module imports ``algebra`` only inside the enumeration oracle and for a
+q given as a FieldSpec.
 """
 
 from __future__ import annotations
@@ -46,7 +52,6 @@ from collections import namedtuple
 from functools import lru_cache
 from operator import mul
 
-from .algebra import FieldSpec, _mobius_int, enumerate_monics, factor_stats, irreducible_count
 from .errors import BudgetExceededError, ConsistencyError
 
 DEFAULT_K_CAP = 40
@@ -57,15 +62,103 @@ DEFAULT_BYTE_BUDGET = 1 << 30
 _LANES = 8
 
 
+# -- integer number theory --------------------------------------------------------
+
+# Miller-Rabin with the first 13 prime bases is exact below this bound
+# (Sorenson and Webster); the character path's primes are below 2^62
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BELOW = 3317044064679887385961981
+
+
+def _is_prime_mr(n: int) -> bool:
+    """Deterministic Miller-Rabin test for n below 3.3e24."""
+    if n >= _MR_EXACT_BELOW:
+        raise ValueError("the Miller-Rabin bases are only proven below 3.3e24")
+    if n < 2:
+        return False
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _int_factorization(n: int) -> dict[int, int]:
+    out: dict[int, int] = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+def _mobius_int(n: int) -> int:
+    fac = _int_factorization(n)
+    if any(a > 1 for a in fac.values()):
+        return 0
+    return -1 if len(fac) % 2 else 1
+
+
+def _coerce_q(q) -> int:
+    """The field size: q itself, checked, or a FieldSpec's q."""
+    if not isinstance(q, int):
+        from .algebra import FieldSpec  # an int needs no polynomial layer
+
+        if isinstance(q, FieldSpec):
+            return q.q
+    q = int(q)
+    if q < 2:
+        raise ValueError("q must be at least 2")
+    return q
+
+
+@lru_cache(maxsize=None)
+def irreducible_count(q, n: int) -> int:
+    """Number of monic irreducibles of degree n over F_q (q an integer or FieldSpec)."""
+    q = _coerce_q(q)
+    if n < 1:
+        raise ValueError("degree must be >= 1")
+    total = 0
+    for d in range(1, n + 1):
+        if n % d == 0:
+            total += _mobius_int(n // d) * q**d
+    if total % n:
+        raise ConsistencyError(f"Mobius sum for degree {n} over F_{q} is not divisible by {n}")
+    return total // n
+
+
+# -- packed series ----------------------------------------------------------------
+
+
 def byte_budget() -> int:
     """Memory budget in bytes; FFCOUNT_BUDGET_BYTES overrides the default."""
     raw = os.environ.get("FFCOUNT_BUDGET_BYTES")
     if raw is None:
         return DEFAULT_BYTE_BUDGET
     try:
-        return int(raw)
+        budget = int(raw)
     except ValueError:
         raise ValueError(f"FFCOUNT_BUDGET_BYTES is not an integer: {raw!r}") from None
+    if budget < 0:
+        raise ValueError(f"FFCOUNT_BUDGET_BYTES is negative: {raw!r}")
+    return budget
 
 
 def slot_bits(q: int, n: int) -> int:
@@ -93,15 +186,6 @@ def max_omega(q: int, n: int) -> int:
             break
         d += 1
     return k
-
-
-def _coerce_q(q) -> int:
-    if isinstance(q, FieldSpec):
-        return q.q
-    q = int(q)
-    if q < 2:
-        raise ValueError("q must be at least 2")
-    return q
 
 
 class BiSeries(namedtuple("BiSeries", "q N K slot rows tops")):
@@ -247,7 +331,8 @@ def euler_product_allfactors(
             packed = (packed << slot) - packed + (running >> s & wide)
         # a negative or oversized count would carry across slots
         if sum(packed >> s & slot_mask for s in range(0, (max(K, full) + 1) * slot, slot)) != q**n:
-            raise AssertionError("negative count after basis change; series is corrupt")
+            raise ConsistencyError(
+                f"degree {n} does not sum to q^n after the basis change; series is corrupt")
         rows.append(packed & low)
         tops.append(packed >> K * slot & slot_mask)
     return BiSeries(q, N, K, slot, rows, tops)
@@ -271,6 +356,8 @@ def brute_force_tables(field: FieldSpec, n: int):
     """
     if n < 0:
         raise ValueError("n must be >= 0")
+    from .algebra import enumerate_monics, factor_stats  # the oracle alone needs polynomials
+
     size = n + 1
     sq = [0] * size
     al = [0] * size

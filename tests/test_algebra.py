@@ -6,7 +6,6 @@ import pytest
 
 from ffcount.algebra import (
     NEG_INF,
-    _is_prime_int,
     _is_prime_mr,
     FieldSpec,
     Poly,
@@ -308,6 +307,20 @@ def test_scale_and_monic():
     assert g.monic() == _p(F3, "1,1")
     with pytest.raises(ValueError):
         f.scale(3)
+
+
+def _is_prime_int(n: int) -> bool:
+    """Trial division, about sqrt(n) steps: the oracle of _is_prime_mr."""
+    if n < 2:
+        return False
+    if n % 2 == 0:
+        return n == 2
+    f = 3
+    while f * f <= n:
+        if n % f == 0:
+            return False
+        f += 2
+    return True
 
 
 def test_miller_rabin_matches_trial_division_and_rejects_strong_pseudoprimes():

@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from ffcount import algebra, apinterval, asym, characters, cli
+from ffcount import algebra, apinterval, asym, characters, cli, exactcount
 from ffcount.algebra import FieldSpec, Poly, parse_poly
 from ffcount.apinterval import APQuery, IntervalQuery, ap_enumerate, interval_enumerate
 from ffcount.errors import OutsideProvenRangeError, UndefinedMainTermError
@@ -111,7 +111,7 @@ with contextlib.redirect_stdout(io.StringIO()):
 names = {os.path.basename(f)[:-3] for f in ran
          if os.path.basename(os.path.dirname(f)) == "ffcount"}
 print(code, "fractions" in sys.modules,
-      *[m for m in ("characters", "apinterval", "asym") if m in names])
+      *[m for m in ("algebra", "characters", "apinterval", "asym") if m in names])
 """
 
 _LAYERS_BY_COMMAND = [
@@ -120,16 +120,19 @@ _LAYERS_BY_COMMAND = [
     (["compare", "--q", "2", "--n", "10", "--k", "2"], ["asym"], False),
     (["asym", "--q", "2", "--n", "10", "--k", "2"], ["asym"], False),
     (["qlimit", "--q", "2", "--n", "5", "--k", "2"], ["asym"], True),
-    (["weil", "--q", "3", "--d", "1,0,1"], ["characters"], False),
+    (["weil", "--q", "3", "--d", "1,0,1"], ["algebra", "characters"], False),
     (["ap", "--q", "3", "--d", "0,1", "--g", "1", "--n", "4", "--k", "2"],
-     ["characters", "apinterval", "asym"], False),
+     ["algebra", "characters", "apinterval", "asym"], False),
     (["interval", "--q", "2", "--g", "1,0,0,0,1", "--h", "2", "--k", "2"],
-     ["characters", "apinterval", "asym"], False),
+     ["algebra", "characters", "apinterval", "asym"], False),
+    # a given modulus is checked irreducible, which needs polynomials
+    (["count", "--p", "2", "--e", "2", "--modulus", "1,1,1", "--n", "5"], ["algebra"], False),
 ]
 
 
 @pytest.mark.parametrize("argv, layers, fractions", _LAYERS_BY_COMMAND,
-                         ids=[argv[0] for argv, _, _ in _LAYERS_BY_COMMAND])
+                         ids=[argv[0] + "-modulus" * ("--modulus" in argv)
+                              for argv, _, _ in _LAYERS_BY_COMMAND])
 def test_each_command_runs_only_the_layers_it_calls(argv, layers, fractions):
     # a fresh interpreter per command, as every command runs; the audit hook
     # sees each module body that runs, and fractions only where one is built
@@ -214,6 +217,22 @@ def test_malformed_poly_echoes_token(capsys):
 def test_budget_flag_exits_3(capsys):
     code, out, _ = run_cli(capsys, ["count", "--q", "2", "--n", "50", "--budget", "64"])
     assert (code, out) == (3, "")
+    assert run_cli(capsys, ["count", "--q", "2", "--n", "3", "--budget", "0"])[0] == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ["count", "--q", "2", "--n", "3", "--budget", "-1"],
+    ["ap", "--q", "3", "--d", "0,1", "--g", "1", "--n", "4", "--k", "2", "--budget", "-5"],
+], ids=["count", "ap"])
+def test_negative_budget_flag_exits_2(capsys, argv):
+    code, out, err = run_cli(capsys, argv)
+    assert (code, out) == (2, "") and "argument --budget" in err, err
+
+
+def test_negative_budget_env_exits_2(monkeypatch, capsys):
+    monkeypatch.setenv("FFCOUNT_BUDGET_BYTES", "-1")
+    code, out, err = run_cli(capsys, ["count", "--q", "2", "--n", "3"])
+    assert (code, out) == (2, "") and "FFCOUNT_BUDGET_BYTES is negative" in err, err
 
 
 def test_budget_env_exits_3(monkeypatch, capsys):
@@ -261,6 +280,21 @@ def test_counts_zero_by_degree_need_no_table(capsys):
             payload = json.loads(out)
             assert payload["exact"] == payload["char_path"] == "0"
         assert run_cli(capsys, argv + ["--k", "2", "--budget", "10"])[0] == 3
+
+
+def test_corrupt_squarefree_row_exits_4(monkeypatch, capsys):
+    # the all-factors table checks that each degree sums to q^n; one more
+    # squarefree polynomial of degree 3 breaks that from degree 3 on
+    build = exactcount.euler_product_squarefree
+
+    def corrupt(*args, **kwargs):
+        series = build(*args, **kwargs)
+        series.rows[3] += 1
+        return series
+
+    monkeypatch.setattr(exactcount, "euler_product_squarefree", corrupt)
+    code, out, err = run_cli(capsys, ["count", "--q", "2", "--n", "5", "--mode", "all"])
+    assert (code, out) == (4, "") and "degree 3 does not sum to q^n" in err, err
 
 
 def test_dual_path_mismatch_exits_4(monkeypatch, capsys):
