@@ -20,8 +20,7 @@ Representation conventions used throughout this module:
   weights (equal degree and class contribute identically); an axis's
   rotation mask is rebuilt only when its digit changes.  Multiplying by
   e_c is the packed Z[G] rotation of characters, whose Newton recurrence
-  for the class sizes runs on it too; bucketing enumerated irreducibles
-  ("direct") is the oracle of those sizes.
+  for the class sizes runs on it too.
 * Interval counts reduce to progression counts through coefficient
   reversal: monic f of degree n with f(0) = a corresponds to the monic
   polynomial a^{-1} f* where f*(X) = X^n f(1/X), and the condition
@@ -134,13 +133,11 @@ class GroupSeries:
         return (self.rows[n] >> (g * (self.K + 1) + k) * self.slot) & ((1 << self.slot) - 1)
 
 
-def ap_series(d: Poly, N: int, K: int | None = None, method: str = "auto",
-              budget: int | None = None) -> GroupSeries:
+def ap_series(d: Poly, N: int, K: int | None = None, budget: int | None = None) -> GroupSeries:
     """GroupSeries of squarefree coprime counts refined by residue class mod d.
 
-    Class sizes come from the Newton recurrence ("class", or "auto", which
-    is the same); "direct" buckets enumerated irreducibles by residue and
-    serves as the test oracle.
+    Class sizes come from the Newton recurrence of
+    UnitGroup.irreducible_classes; no irreducible is enumerated.
     """
     group = unit_group(d)
     if N < 1:
@@ -159,7 +156,7 @@ def ap_series(d: Poly, N: int, K: int | None = None, method: str = "auto",
     if estimated > limit:
         raise BudgetExceededError(
             f"group series of estimated size {estimated} bytes exceeds the budget {limit}")
-    counts = group.irreducible_classes(N, method=method)
+    counts = group.irreducible_classes(N)
     packed = _class_product(group, counts, N, K, slot)
     B = group.order * (K + 1) * slot
     row = (1 << B) - 1
@@ -209,8 +206,7 @@ def _live_terms(q: int, terms):
     return live, N, K
 
 
-def _table_sum(d: Poly, terms, series: GroupSeries | None, budget: int | None,
-               method: str = "auto") -> int:
+def _table_sum(d: Poly, terms, series: GroupSeries | None, budget: int | None) -> int:
     """Sum of the progression counts of the terms (g, n, k) mod d, read
     from series (checked to be mod d and deep enough) or from a new table
     just deep enough for the live terms; degree-0 terms need no table."""
@@ -219,7 +215,7 @@ def _table_sum(d: Poly, terms, series: GroupSeries | None, budget: int | None,
         one = Poly.one(d.field)
         return sum(g % d == one for g, _, _ in live)
     if series is None:
-        series = ap_series(d, N, K, method=method, budget=budget)
+        series = ap_series(d, N, K, budget=budget)
     elif series.group.d != d:
         raise ValueError("series was built for a different modulus")
     elif series.N < N:
@@ -228,9 +224,9 @@ def _table_sum(d: Poly, terms, series: GroupSeries | None, budget: int | None,
 
 
 def pi_k_ap_exact(qy: APQuery, series: GroupSeries | None = None,
-                  budget: int | None = None, method: str = "auto") -> int:
+                  budget: int | None = None) -> int:
     """Exact count of squarefree f in the progression g mod d, deg n, k factors."""
-    return _table_sum(qy.d, ((qy.g, qy.n, qy.k),), series, budget, method)
+    return _table_sum(qy.d, ((qy.g, qy.n, qy.k),), series, budget)
 
 
 def pi_k_ap_chars(qy: APQuery) -> int:

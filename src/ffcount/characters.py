@@ -61,7 +61,6 @@ from operator import mul, sub
 
 from .algebra import (
     Poly,
-    enumerate_irreducibles,
     factor_stats,
     phi_poly,
     poly_gcd,
@@ -286,31 +285,16 @@ class UnitGroup:
             out.append((adj, n))
         return out
 
-    def irreducible_classes(self, max_degree: int, method: str = "class"):
+    def irreducible_classes(self, max_degree: int):
         """Per-degree counts of irreducibles by unit class, {deg: {idx: count}}.
 
         Irreducibles dividing the modulus are excluded (their residues are
-        not units).  method "class" (or "auto", the same) uses the Newton
-        recurrence on the class-refined zeta coefficients.  "direct" reduces
-        every enumerated irreducible; it is the test oracle of the recurrence.
+        not units).  The counts come from the Newton recurrence on the
+        class-refined zeta coefficients, without enumeration; the tests
+        check them against enumerated irreducibles bucketed by residue.
         """
         if max_degree < 0:
             raise ValueError("max_degree must be nonnegative")
-        if method not in ("auto", "direct", "class"):
-            raise ValueError(f"unknown method {method!r}")
-        if method == "direct":
-            out: dict[int, dict[int, int]] = {}
-            # the highest degree first: its sieve is the largest, so a table
-            # past the enumeration budget is refused before any is sieved
-            for n in range(max_degree, 0, -1):
-                counts: dict[int, int] = {}
-                for p in enumerate_irreducibles(self.field, n):
-                    r = p % self.d
-                    idx = self._index.get(r.coeffs)
-                    if idx is not None:
-                        counts[idx] = counts.get(idx, 0) + 1
-                out[n] = counts
-            return out
         return _newton_class_counts(self, max_degree)
 
 

@@ -298,14 +298,16 @@ def cmd_asym(args) -> Report:
     cfg = asym.AnalyticConfig(A=args.A)
     nrange = _parse_range(args.n, "--n")
     krange = _parse_range(args.k, "--k")
-    payload = {
-        "command": "asym",
-        "q": q,
-        "A": args.A,
-        "rows": [{"n": n, "k": k, "main_term_lnAbs":
-                  asym.main_term_thm1(q, n, k, cfg, override=args.override)}
-                 for n in nrange for k in krange],
-    }
+    rows = []
+    for n in nrange:
+        for k in krange:
+            try:
+                m = asym.main_term_thm1(q, n, k, cfg, override=args.override)
+            except OutsideProvenRangeError:
+                raise UsageError(f"n = {n}, k = {k} is outside k <= A*log n; "
+                                 "pass --override to evaluate anyway") from None
+            rows.append({"n": n, "k": k, "main_term_lnAbs": m})
+    payload = {"command": "asym", "q": q, "A": args.A, "rows": rows}
     return Report(payload, ("q", "n", "k", "main_term_lnAbs"), ("rows",))
 
 
@@ -323,7 +325,11 @@ def cmd_compare(args) -> Report:
     for n in nrange:
         for k in krange:
             exact = series.cell(n, k) if k <= K else 0
-            core = asym._thm1(q, n, k, cfg, False)  # one G(r) serves both columns
+            try:  # one G(r) serves both columns
+                core = asym._thm1(q, n, k, cfg, False)
+            except OutsideProvenRangeError:
+                raise UsageError(f"the row n = {n}, k = {k} is outside k <= A*log n; "
+                                 "raise --A or lower --k") from None
             m = asym._main_term(*core)
             rows.append({"n": n, "k": k, "exact": str(exact), "main_term_lnAbs": m,
                          "ratio": asym.ratio_to_main(exact, m),
@@ -370,7 +376,7 @@ def cmd_ap(args) -> Report:
     g = _poly_arg(fld, args.g, "g")
     n, k = args.n, args.k
     qy = apinterval.APQuery(n, k, g, d)
-    exact = apinterval.pi_k_ap_exact(qy, budget=args.budget, method=args.method)
+    exact = apinterval.pi_k_ap_exact(qy, budget=args.budget)
     payload = {"command": "ap", "q": q, "d": d.text(), "g": g.text(), "n": n, "k": k}
     return _dual_path_report(
         "progression", qy, exact, apinterval.pi_k_ap_chars,
@@ -601,9 +607,9 @@ def _add_arguments(p, command: str) -> None:
         p.add_argument("--n", type=int, required=True)
         p.add_argument("--k", type=int, required=True)
         p.add_argument("--A", type=float, default=2.0)
-        p.add_argument("--method", choices=("auto", "direct", "class"), default="auto",
-                       help="irreducible class counts: class (Newton recurrence; auto "
-                            "is the same) or direct (enumeration, the test oracle)")
+        p.add_argument("--method", choices=("auto", "class"), default="auto",
+                       help="irreducible class counts: both choices run the Newton "
+                            "recurrence")
         _add_common(p, builds_table=True)
     elif command == "interval":
         p.add_argument("--g", required=True, help="monic center polynomial")

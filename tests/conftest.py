@@ -1,10 +1,13 @@
-"""Shared session fixtures: the large q = 2 tables reused across suites."""
+"""Shared session fixtures: the large q = 2 tables reused across suites,
+and the test oracles of the character values and the irreducible class counts."""
 
 import time
+from collections import Counter
 from dataclasses import dataclass
 
 import pytest
 
+from ffcount.algebra import enumerate_irreducibles
 from ffcount.exactcount import (
     BiSeries,
     euler_product_allfactors,
@@ -50,3 +53,22 @@ def _char_value(group, c, u):
 def char_value():
     """The test oracle for a character's value, independent of _char_exponents."""
     return _char_value
+
+
+def _direct_classes(group, max_degree):
+    """{deg: {idx: count}} as UnitGroup.irreducible_classes gives it, by
+    reducing every enumerated irreducible of degree 1..max_degree mod d;
+    those dividing d have no unit class and are left out."""
+    out = {}
+    for n in range(1, max_degree + 1):
+        counts = Counter(group._index.get((p % group.d).coeffs)
+                         for p in enumerate_irreducibles(group.field, n))
+        counts.pop(None, None)
+        out[n] = dict(counts)
+    return out
+
+
+@pytest.fixture(scope="session")
+def direct_classes():
+    """The test oracle for the class counts, independent of the Newton recurrence."""
+    return _direct_classes

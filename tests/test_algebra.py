@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from ffcount import algebra
 from ffcount.algebra import (
     NEG_INF,
     _is_prime_mr,
@@ -177,6 +178,17 @@ def test_enumerate_monics_order_and_count():
 def test_enumerate_monics_budget():
     with pytest.raises(BudgetExceededError):
         list(enumerate_monics(F2, 30))
+
+
+def test_enumerate_irreducibles_refuses_past_the_budget_before_it_sieves():
+    # the 2^21 monics of degree 21 are over the budget: the refusal comes
+    # first, so no table is cached, of degree 21 or of the degrees below
+    cached = set(algebra._IRR_TABLES)
+    with pytest.raises(BudgetExceededError,
+                       match="degree 21 over F_2 exceeds the budget 2000000"):
+        enumerate_irreducibles(FieldSpec(2), 21)
+    assert set(algebra._IRR_TABLES) == cached
+    assert all(n != 21 for _, n in cached)
 
 
 def _irreducible_by_trial_division(f):

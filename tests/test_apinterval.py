@@ -98,7 +98,9 @@ def test_series_row_zero_and_zero_above_degree():
             assert _total(s, n, k) == 0
 
 
-def test_direct_and_class_methods_agree():
+def test_direct_and_class_methods_agree(direct_classes, monkeypatch):
+    # the table built from the Newton class counts equals the table built
+    # from the enumerated irreducibles bucketed by residue
     for fld, d_text, N in (
         (F2, "0,1", 6),
         (F2, "0,0,1", 6),
@@ -116,10 +118,11 @@ def test_direct_and_class_methods_agree():
         (F3, "0,0,0,1", 6),  # X^3
     ):
         d = _p(fld, d_text)
-        a = ap_series(d, N, method="direct")
-        b = ap_series(d, N, method="class")
-        c = ap_series(d, N)
-        assert a.rows == b.rows == c.rows, (fld.q, d_text)
+        newton = ap_series(d, N)
+        with monkeypatch.context() as m:
+            m.setattr(UnitGroup, "irreducible_classes", direct_classes)
+            direct = ap_series(d, N)
+        assert direct.rows == newton.rows, (fld.q, d_text)
 
 
 def test_series_single_factor_row_totals():
@@ -147,8 +150,6 @@ def test_series_validation_and_budget():
     d = _p(F3, "0,1")
     with pytest.raises(ValueError):
         ap_series(d, 0)
-    with pytest.raises(ValueError):
-        ap_series(d, 4, method="fft")
     with pytest.raises(BudgetExceededError):
         ap_series(d, 30, budget=100)
 
@@ -477,7 +478,7 @@ def test_progression_rate_sweep_q2():
     for k, cap in ((1, 1e-5), (2, 0.45)):
         vals = []
         for n in (50, 100, 200, 400):
-            s = ap_series(d, n, K=k, method="class")
+            s = ap_series(d, n, K=k)
             cnt = pi_k_ap_exact(APQuery(n, k, g, d), series=s)
             vals.append(thm2_normalized_error(cnt, n, k, d))
         assert all(v <= cap for v in vals), (k, vals)

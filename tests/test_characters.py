@@ -22,6 +22,7 @@ from ffcount.algebra import (
     phi_poly,
     poly_gcd,
 )
+from ffcount import algebra as algebra_module
 from ffcount import characters as characters_module
 from ffcount.characters import (
     DEFAULT_GROUP_BUDGET,
@@ -857,31 +858,18 @@ def test_word_primes_carry_a_root_of_unity_of_exact_order():
         root_of_unity(4, 7)
 
 
-def test_auto_method_avoids_a_sieve_past_the_enumeration_budget():
-    # about 4e5 irreducibles of degree <= 14 over F_3 are under the cap,
-    # but the sieve behind them walks 3^14 monics, over the budget
-    d = _p(F3, "1,1")
-    auto = UnitGroup(d).irreducible_classes(14)
-    assert auto == UnitGroup(d).irreducible_classes(14, method="class")
+def test_auto_method_avoids_a_sieve_past_the_enumeration_budget(monkeypatch):
+    # the class counts enumerate no irreducible: the sieve behind degree 14
+    # over F_3 walks 3^14 monics and the one behind degree 21 over F_2
+    # walks 2^21, both over the budget
+    def refuse(*args):
+        raise AssertionError("the class counts sieved irreducibles")
 
-
-def test_direct_method_refuses_past_the_enumeration_budget_before_it_sieves(monkeypatch):
-    # 2^21 monics of degree 21 are over the budget; the degrees below it
-    # fit, so walking up from degree 1 would sieve all of them first
-    asked = []
-    real = characters_module.enumerate_irreducibles
-
-    def recorded(fld, n):
-        asked.append(n)
-        return real(fld, n)
-
-    monkeypatch.setattr(characters_module, "enumerate_irreducibles", recorded)
-    g = UnitGroup(_p(F2, "0,1"))
-    with pytest.raises(BudgetExceededError, match="degree 21 over F_2 exceeds the budget"):
-        g.irreducible_classes(21, method="direct")
-    assert asked == [21]
-    # the Newton recurrence needs no sieve: the one class holds them all
-    assert g.irreducible_classes(21)[21] == {0: irreducible_count(2, 21)}
+    monkeypatch.setattr(algebra_module, "_irreducible_coeff_table", refuse)
+    counts = UnitGroup(_p(F3, "1,1")).irreducible_classes(14)
+    assert sum(counts[14].values()) == irreducible_count(3, 14)
+    # mod X over F_2 the one class holds them all
+    assert UnitGroup(_p(F2, "0,1")).irreducible_classes(21)[21] == {0: irreducible_count(2, 21)}
 
 
 def test_monic_residues_are_the_monic_units_by_degree():
@@ -895,7 +883,7 @@ def test_monic_residues_are_the_monic_units_by_degree():
             assert list(g.monic_residues[j]) == want
 
 
-def test_newton_class_counts_memory_stays_linear_in_the_group_order():
+def test_newton_class_counts_memory_stays_linear_in_the_group_order(direct_classes):
     # d irreducible of degree 11 over F_2: order 2047, and N = m reaches
     # every monic residue; a table of translations would hold about
     # |G|^2 / 2 entries (about 38 MB here), the rows kept per degree
@@ -910,7 +898,7 @@ def test_newton_class_counts_memory_stays_linear_in_the_group_order():
     finally:
         tracemalloc.stop()
     assert peak < 128 * (N + 1) * g.order
-    assert counts == UnitGroup(g.d).irreducible_classes(N, method="direct")
+    assert counts == direct_classes(g, N)
 
 
 def _list_class_counts(group, N):
@@ -952,7 +940,7 @@ def _list_class_counts(group, N):
     return counts
 
 
-def test_newton_class_counts_match_the_list_recurrence():
+def test_newton_class_counts_match_the_list_recurrence(direct_classes):
     # orders that direct enumeration cannot reach: X^7 + X + 1 over F_2
     # (cyclic, 127), 2 + X^2 + X^3 + X^5 over F_3 (cyclic, 242) and X^10
     # over F_2 (five axes, 512)
@@ -964,7 +952,7 @@ def test_newton_class_counts_match_the_list_recurrence():
     # (X + 1)^2 (X + 2) over F_3, both on two axes
     for fld, d_text, N in ((F4, "1,0,1", 7), (F3, "2,2,1,1", 8)):
         g = unit_group(_p(fld, d_text))
-        want = g.irreducible_classes(N, method="direct")
+        want = direct_classes(g, N)
         assert g.irreducible_classes(N) == _list_class_counts(g, N) == want
 
 

@@ -427,17 +427,16 @@ def test_large_extension_degrees_search_no_default_modulus(capsys, argv, code, m
     assert "Traceback" not in err and (out == "") == (code != 0)
 
 
-# one case per fixed cap: unit group order, coefficient bits, extension
-# size, table bytes (the only one a flag sets) and enumerated monics
+# one case per fixed cap a command reaches within seconds: unit group
+# order, coefficient bits, extension size and table bytes (the only one a
+# flag sets); the enumeration cap has a library test in test_algebra
 @pytest.mark.parametrize("argv, message", [
     (["ap", "--q", "2", "--d", ",".join(["0"] * 18 + ["1"]), "--g", "1", "--n", "20",
       "--k", "2"], "unit group order 131072 exceeds budget 100000"),
     (["count", "--q", "2", "--n", "601"], "exceeds the 600-bit coefficient cap"),
     (["weil", "--q", "128", "--d", "0,1"], "extension field size 128 exceeds the table limit 64"),
     (["count", "--q", "2", "--n", "50", "--budget", "64"], "exceeds the budget 64"),
-    (["ap", "--q", "2", "--d", "0,1", "--g", "1", "--n", "21", "--k", "2", "--method",
-      "direct"], "irreducible table for degree 21 over F_2 exceeds the budget 2000000"),
-], ids=["group-order", "bits", "extension", "bytes", "enumeration"])
+], ids=["group-order", "bits", "extension", "bytes"])
 def test_every_fixed_cap_exits_3_naming_it(capsys, argv, message):
     t0 = time.monotonic()
     code, out, err = run_cli(capsys, argv)
@@ -709,11 +708,17 @@ def test_ap_schema_and_value(capsys):
 def test_ap_method_flag_same_report(capsys):
     base = ["ap", "--q", "3", "--d", "0,1", "--g", "1", "--n", "5", "--k", "2"]
     reports = []
-    for method in ("direct", "class"):
+    for method in ("auto", "class"):
         code, out, _ = run_cli(capsys, base + ["--method", method])
         assert code == 0
         reports.append(out)
     assert reports[0] == reports[1]
+    # enumeration is no production path: direct is not a choice
+    code, out, err = run_cli(capsys, base + ["--method", "direct"])
+    assert (code, out) == (2, "")
+    assert "argument --method: invalid choice:" in err and "direct" in err, err
+    choices = err.split("choose from", 1)[1]
+    assert "auto" in choices and "class" in choices, err
 
 
 def test_ap_auto_method_does_not_exit_3_past_the_sieve_budget(capsys):
@@ -734,8 +739,7 @@ def test_default_ap_method_does_not_sieve(monkeypatch, capsys):
     def refuse(*args, **kwargs):
         raise RuntimeError("the production path enumerated irreducibles")
 
-    monkeypatch.setattr(algebra, "enumerate_irreducibles", refuse)
-    monkeypatch.setattr(characters, "enumerate_irreducibles", refuse)
+    monkeypatch.setattr(algebra, "_irreducible_coeff_table", refuse)
     characters.unit_group.cache_clear()  # no class counts cached by earlier tests
     code, out, _ = run_cli(
         capsys, ["ap", "--q", "3", "--d", "0,1", "--g", "1", "--n", "12", "--k", "2"])
@@ -857,3 +861,19 @@ def test_asym_range_guard_and_override(capsys):
         capsys, ["asym", "--q", "2", "--n", "10", "--k", "9", "--override"])
     assert code == 0
     assert json.loads(out)["rows"][0]["k"] == 9
+
+
+def test_asym_outside_the_proven_range_names_the_override_flag(capsys):
+    # the library asks for its keyword; the CLI names its own flag
+    code, out, err = run_cli(capsys, ["asym", "--q", "2", "--n", "10", "--k", "300"])
+    assert (code, out) == (2, "")
+    assert err == ("ffcount: n = 10, k = 300 is outside k <= A*log n; "
+                   "pass --override to evaluate anyway\n")
+
+
+def test_compare_outside_the_proven_range_names_its_flags(capsys):
+    # compare has no override: the row comes back in range through --A or --k
+    code, out, err = run_cli(capsys, ["compare", "--q", "2", "--n", "10", "--k", "9"])
+    assert (code, out) == (2, "")
+    assert err == ("ffcount: the row n = 10, k = 9 is outside k <= A*log n; "
+                   "raise --A or lower --k\n")
