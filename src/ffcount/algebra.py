@@ -18,8 +18,9 @@ Enumeration of monic polynomials of degree n is lexicographic with
 the constant coefficient varying fastest: index i maps to the base-q
 digits of i as the n lower coefficients, plus the leading 1.
 
-Irreducibility has one test, Rabin's Frobenius-power criterion, which
-is polynomial in the degree and log q at every size.
+Irreducibility, the modulus check and phi_poly read one routine,
+distinct-degree factorization (prime_degrees), polynomial in the degree
+and log q; the irreducible sieve serves only the enumeration oracles.
 
 Everything here is a pure function over immutable values.  The
 per-field irreducible tables are filled once on first use and then
@@ -37,7 +38,7 @@ from collections.abc import Iterator
 from functools import lru_cache
 
 from .errors import BudgetExceededError, ConsistencyError
-from .exactcount import _int_factorization, _is_prime_mr, irreducible_count
+from .exactcount import _is_prime_mr, irreducible_count
 
 NEG_INF = float("-inf")
 
@@ -47,10 +48,10 @@ _EXTENSION_Q_LIMIT = 64
 
 
 def _field_modulus(p: int, e: int, modulus, limit: int | None = None):
-    """The modulus of F_(p^e) reduced mod p, once p is checked prime,
-    e >= 1 and a given modulus monic irreducible of degree e over F_p; None
-    for e = 1 or when none is given.  With a limit, an extension field of
-    more elements is refused before its modulus is read."""
+    """The modulus of F_(p^e), once p is checked prime, e >= 1 and a given
+    modulus monic irreducible of degree e over F_p with coefficients in
+    [0, p); None for e = 1 or when none is given.  With a limit, a larger
+    extension field is refused before its modulus is read."""
     if not _is_prime_mr(p):
         raise ValueError(f"p = {p} is not prime")
     if e < 1:
@@ -64,16 +65,14 @@ def _field_modulus(p: int, e: int, modulus, limit: int | None = None):
             f"extension field size {p**e} exceeds the table limit {limit}")
     if modulus is None:
         return None
-    modulus = tuple(int(c) % p for c in modulus)
-    while modulus and modulus[-1] == 0:
-        modulus = modulus[:-1]
-    if len(modulus) != e + 1:
+    f = Poly(FieldSpec(p), modulus)  # names a coefficient outside [0, p)
+    if f.degree != e:
         raise ValueError(f"modulus must have degree e = {e}")
-    if modulus[-1] != 1:
+    if not f.is_monic:
         raise ValueError("modulus must be monic")
-    if not is_irreducible(Poly(FieldSpec(p), modulus)):
+    if not is_irreducible(f):
         raise ValueError("modulus is not irreducible over F_p")
-    return modulus
+    return f.coeffs
 
 
 class FieldSpec:
@@ -572,27 +571,36 @@ def enumerate_irreducibles(field: FieldSpec, n: int) -> tuple[Poly, ...]:
     return tuple(Poly._raw(field, cs) for cs in _irreducible_coeff_table(field, n))
 
 
-def is_irreducible(f: Poly) -> bool:
-    """Irreducibility of a monic polynomial of degree >= 1 (Rabin's test).
+def prime_degrees(f: Poly) -> tuple[int, ...]:
+    """Ascending degrees of the distinct irreducible factors of a nonzero f,
+    by distinct-degree factorization: step i takes h = X^(q^i) mod r, and
+    g = gcd(h - X, r) is the product of the factors of degree i, those of
+    lower degree being gone; r loses each with all its multiplicity.  A
+    remainder of degree below 2(i + 1) is irreducible."""
+    field, r = f.field, f.coeffs
+    x = h = (0, 1)
+    degrees, i = [], 0
+    while len(r) - 1 >= 2 * (i + 1):
+        i += 1
+        h = _ppow_mod(field, h, field.q, r)
+        g = _pgcd(field, _psub(field, h, x), r)
+        degrees += [i] * ((len(g) - 1) // i)
+        while len(g) > 1:
+            r = _pdivrem(field, r, g)[0]
+            g = _pgcd(field, g, r)
+    if len(r) > 1:
+        degrees.append(len(r) - 1)
+    return tuple(degrees)
 
-    f of degree n is irreducible iff X^(q^n) == X mod f and, for every
-    prime l dividing n, gcd(X^(q^(n/l)) - X, f) is constant; the cost is
-    polynomial in n log q at every size.
-    """
+
+def is_irreducible(f: Poly) -> bool:
+    """Irreducibility of a monic f of degree >= 1: prime_degrees(f) == (deg f,)."""
     if not f.is_monic:
         raise ValueError("irreducibility test expects a monic polynomial")
     n = len(f.coeffs) - 1
     if n < 1:
         raise ValueError("irreducibility test expects degree >= 1")
-    if n == 1:
-        return True
-    field, cs = f.field, f.coeffs
-    x = (0, 1)
-    for ell in _int_factorization(n):
-        h = _ppow_mod(field, x, field.q ** (n // ell), cs)
-        if len(_pgcd(field, _psub(field, h, x), cs)) != 1:
-            return False
-    return _psub(field, _ppow_mod(field, x, field.q**n, cs), x) == ()
+    return prime_degrees(f) == (n,)
 
 
 class FactorStats(namedtuple("FactorStats", "omega mu squarefree factors")):
@@ -633,12 +641,11 @@ def factor_stats(f: Poly) -> FactorStats:
 
 
 def phi_poly(d: Poly) -> int:
-    """Order of the unit group modulo d: prod over p^a || d of (q^(a deg p) - q^((a-1) deg p))."""
+    """Order of the unit group modulo d: q^deg d prod over primes p | d of (1 - q^-deg p)."""
     if not d.is_monic or d.degree < 1:
         raise ValueError("phi_poly expects a monic modulus of degree >= 1")
-    q = d.field.q
-    out = 1
-    for p, a in factor_stats(d).factors:
-        dp = len(p.coeffs) - 1
-        out *= q ** (a * dp) - q ** ((a - 1) * dp)
+    q, degrees = d.field.q, prime_degrees(d)
+    out = q ** (d.degree - sum(degrees))
+    for b in degrees:
+        out *= q**b - 1
     return out

@@ -229,14 +229,13 @@ def bigGd(z, d: Poly, cfg: AnalyticConfig | None = None):
     """bigG corrected by the distinct irreducible divisors of the modulus d."""
     if d.degree < 1:
         raise ValueError("modulus must be nonconstant")
-    from .algebra import factor_stats  # only Theorem 2 factors a polynomial
+    from .algebra import prime_degrees  # only Theorem 2 factors a polynomial
 
     q = d.field.q
     zc = complex(z)
     corr = 1 + 0j
-    for p, _mult in factor_stats(d).factors:
-        w = float(q) ** (-(len(p.coeffs) - 1))
-        loc = 1 + zc * w
+    for b in prime_degrees(d):
+        loc = 1 + zc * float(q) ** -b
         if loc == 0:
             raise ValueError("z cancels a correction factor of the modulus")
         corr *= loc

@@ -61,9 +61,8 @@ from operator import mul, sub
 
 from .algebra import (
     Poly,
-    factor_stats,
-    phi_poly,
     poly_gcd,
+    prime_degrees,
     _monic_coeffs_from_index,
 )
 from .errors import BudgetExceededError, ConsistencyError, RootFindingError
@@ -109,7 +108,8 @@ class UnitGroup:
         self.field = d.field
         self.q = d.field.q
         self.m = d.degree
-        self.order = phi_poly(d)
+        self.prime_degrees = degs = prime_degrees(d)  # phi(d) as in phi_poly
+        self.order = self.q ** (self.m - sum(degs)) * math.prod(self.q**b - 1 for b in degs)
         if self.order > DEFAULT_GROUP_BUDGET:
             raise BudgetExceededError("unit group order %d exceeds budget %d"
                                       % (self.order, DEFAULT_GROUP_BUDGET))
@@ -351,7 +351,7 @@ def _newton_class_counts(group: UnitGroup, N: int):
     """
     order, q, m = group.order, group.q, group.m
     qpow = [q**i for i in range(N + 1)]
-    excluded = Counter(p.degree for p, _ in factor_stats(group.d).factors)
+    excluded = Counter(group.prime_degrees)
     slot = (N * qpow[N]).bit_length() + 1
     smask, height, axes = (1 << slot) - 1, order * slot, _axes(group, slot)
     ones = _tile(1, slot, order)
@@ -648,7 +648,7 @@ class CharacterSums:
     3. psi(n) = n c_n - sum_(0<j<n) c_j psi(n-j) is the T^n coefficient
        of T L'/L, the sum of deg(p) chi(p)^r over prime powers p^r of
        degree n.  For the principal character, L = Z(T) prod_(p|d) (1 -
-       T^deg p) and psi(n) = q^n - sum of deg p over p | d with deg p | n.
+       T^deg p), so psi(n) = q^n - sum of the group.prime_degrees b | n.
     4. t P_chi(t) = psi_chi(t) - sum over e | t, e < t of e P_(chi^(t/e))(e).
     """
 
@@ -675,7 +675,7 @@ class CharacterSums:
                 acc = list(map(sub, acc, map(mul, coeffs[j], psi[n - j])))
             psi.append([x % P for x in acc])
         # index 0 is the principal character
-        bad = [p.degree for p, _ in factor_stats(group.d).factors]
+        bad = group.prime_degrees
         for n in range(1, N + 1):
             psi[n][0] = (pow(group.q, n, P) - sum(b for b in bad if n % b == 0)) % P
         weights: list = [None]

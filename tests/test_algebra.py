@@ -22,6 +22,7 @@ from ffcount.algebra import (
     parse_poly,
     phi_poly,
     poly_gcd,
+    prime_degrees,
 )
 from ffcount.errors import BudgetExceededError
 
@@ -29,6 +30,7 @@ F2 = field(2)
 F3 = field(3)
 F4 = field(2, 2, (1, 1, 1))
 F5 = field(5)
+F9 = field(3, 2)
 
 
 def _p(f, text):
@@ -118,6 +120,10 @@ def test_extension_field_requires_irreducible_modulus():
         FieldSpec(2, 2, (1, 0, 1))  # X^2 + 1 = (X+1)^2 over F_2
     with pytest.raises(ValueError):
         FieldSpec(2, 2, None)
+    # a coefficient outside [0, p) is refused, not reduced to X^2 + X + 1
+    for modulus, bad in (((1, 1, 3), 3), ((1, 1, -1), -1), ((1, 3, 1), 3)):
+        with pytest.raises(ValueError, match=rf"coefficient {bad} outside \[0, 2\)"):
+            FieldSpec(2, 2, modulus)
 
 
 def test_default_modulus_is_irreducible():
@@ -199,10 +205,20 @@ def _irreducible_by_trial_division(f):
 
 
 def test_is_irreducible_routes_agree():
-    for fld in (F2, F3):
-        for n in (2, 3, 4, 5):
+    for fld, top in ((F2, 5), (F3, 5), (F4, 4), (F9, 3)):
+        for n in range(2, top + 1):
             for f in enumerate_monics(fld, n):
                 assert is_irreducible(f) == _irreducible_by_trial_division(f), f
+
+
+def test_prime_degrees_match_the_trial_division_oracle():
+    # distinct-degree factorization against factor_stats' sieve-backed
+    # trial division, on every monic up to the given degree
+    for fld, top in ((F2, 9), (F3, 5), (F4, 3), (F5, 3), (F9, 3)):
+        for n in range(top + 1):
+            for f in enumerate_monics(fld, n):
+                want = sorted(p.degree for p, _ in factor_stats(f).factors)
+                assert prime_degrees(f) == tuple(want), f
 
 
 def test_is_irreducible_known_cases():

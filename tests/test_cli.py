@@ -395,10 +395,13 @@ def test_commands_that_need_only_q_build_no_field_tables(capsys):
                  ["interval", "--q", "128", "--g", "0,1", "--h", "0", "--k", "1"],
                  ["weil", "--q", "128", "--d", "0,1"]):
         assert run_cli(capsys, argv)[0] == 3, argv
-    # the field flags are still checked: X^7 + 1 is reducible over F_2
+    # the field flags are still checked: X^7 + 1 is reducible over F_2, and
+    # a modulus coefficient outside [0, p) is refused, not reduced mod p
     for argv in (["count", "--p", "2", "--e", "7", "--modulus", "1,0,0,0,0,0,0,1", "--n", "3"],
                  ["count", "--p", "4", "--n", "3"],
-                 ["count", "--p", "3", "--modulus", "1,1", "--n", "3"]):
+                 ["count", "--p", "3", "--modulus", "1,1", "--n", "3"],
+                 ["count", "--p", "2", "--e", "2", "--modulus", "1,1,3", "--n", "3"],
+                 ["count", "--p", "2", "--e", "2", "--modulus", "1,1,-1", "--n", "3"]):
         code, out, err = run_cli(capsys, argv)
         assert (code, out) == (2, "") and err.startswith("ffcount: "), argv
 
@@ -427,16 +430,25 @@ def test_large_extension_degrees_search_no_default_modulus(capsys, argv, code, m
     assert "Traceback" not in err and (out == "") == (code != 0)
 
 
+# an irreducible of degree 42 over F_2: its unit group of order 2^42 - 1
+# is refused before any irreducible of degree up to 21 is listed
+D42 = "1,1,0,0,1,1,1,1,0,1,1,1,1,0,0,1,1,1,0,0,1,0,1,1,1,0,0,1,1,0,1,1,0,0,0,1,0,1,0,0,1,0,1"
+
+
 # one case per fixed cap a command reaches within seconds: unit group
 # order, coefficient bits, extension size and table bytes (the only one a
 # flag sets); the enumeration cap has a library test in test_algebra
 @pytest.mark.parametrize("argv, message", [
     (["ap", "--q", "2", "--d", ",".join(["0"] * 18 + ["1"]), "--g", "1", "--n", "20",
       "--k", "2"], "unit group order 131072 exceeds budget 100000"),
+    (["ap", "--q", "2", "--d", D42, "--g", "1", "--n", "3", "--k", "1"],
+     "unit group order 4398046511103 exceeds budget 100000"),
+    (["weil", "--q", "2", "--d", D42], "unit group order 4398046511103 exceeds budget 100000"),
     (["count", "--q", "2", "--n", "601"], "exceeds the 600-bit coefficient cap"),
     (["weil", "--q", "128", "--d", "0,1"], "extension field size 128 exceeds the table limit 64"),
     (["count", "--q", "2", "--n", "50", "--budget", "64"], "exceeds the budget 64"),
-], ids=["group-order", "bits", "extension", "bytes"])
+], ids=["group-order", "group-order-irreducible-ap", "group-order-irreducible-weil", "bits",
+         "extension", "bytes"])
 def test_every_fixed_cap_exits_3_naming_it(capsys, argv, message):
     t0 = time.monotonic()
     code, out, err = run_cli(capsys, argv)
@@ -731,21 +743,6 @@ def test_ap_auto_method_does_not_exit_3_past_the_sieve_budget(capsys):
         reports.append(out)
     assert reports[0] == reports[1]
     assert json.loads(reports[0])["exact"] == "396430"
-
-
-def test_default_ap_method_does_not_sieve(monkeypatch, capsys):
-    # the README example: 3^12 monics fit the sieve budget, but the class
-    # counts come from the Newton recurrence alone
-    def refuse(*args, **kwargs):
-        raise RuntimeError("the production path enumerated irreducibles")
-
-    monkeypatch.setattr(algebra, "_irreducible_coeff_table", refuse)
-    characters.unit_group.cache_clear()  # no class counts cached by earlier tests
-    code, out, _ = run_cli(
-        capsys, ["ap", "--q", "3", "--d", "0,1", "--g", "1", "--n", "12", "--k", "2"])
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["exact"] == payload["char_path"] == "51770"
 
 
 def test_ap_on_a_unit_group_of_order_2047(capsys):

@@ -13,7 +13,7 @@ import os
 
 import pytest
 
-from ffcount import cli
+from ffcount import algebra, characters, cli
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -29,3 +29,20 @@ def test_golden_report(case, capsys):
         expected = fh.read()
     assert code == case["exit_code"]
     assert out.encode("utf-8") == expected
+
+
+PROGRESSION_CASES = [c for c in CASES if c["argv"][0] in ("ap", "interval", "weil")]
+
+
+@pytest.mark.parametrize("case", PROGRESSION_CASES, ids=[c["name"] for c in PROGRESSION_CASES])
+def test_no_command_sieves(case, capsys, monkeypatch):
+    # a modulus is factored by distinct-degree factorization and the class
+    # counts come from the Newton recurrence, so no report lists
+    # irreducibles: the sieve behind enumerate_irreducibles and factor_stats
+    # raises, and every report keeps its golden bytes
+    def refuse(*args, **kwargs):
+        raise RuntimeError("the production path enumerated irreducibles")
+
+    monkeypatch.setattr(algebra, "_irreducible_coeff_table", refuse)
+    characters.unit_group.cache_clear()  # no group factored by earlier tests
+    test_golden_report(case, capsys)
