@@ -21,10 +21,14 @@ digits of i as the n lower coefficients, plus the leading 1.
 Irreducibility, the modulus check and phi_poly read one routine,
 distinct-degree factorization (prime_degrees), polynomial in the degree
 and log q; the irreducible sieve serves only the enumeration oracles.
+Square-and-multiply (_power) is written once, here: prime_degrees
+raises X to the q-th power with it, and characters raises unit-group
+elements with it.  A unit group's order is phi_poly(d).
 
 Everything here is a pure function over immutable values.  The
-per-field irreducible tables are filled once on first use and then
-only read, so sharing between threads needs no coordination.
+per-field irreducible tables and the prime degrees of each polynomial
+are filled once on first use and then only read, so sharing between
+threads needs no coordination.
 
 Text format for a polynomial: comma-separated base-10 coefficients,
 ascending, e.g. "1,0,1,1" is 1 + X^2 + X^3.  Over an extension field
@@ -324,15 +328,15 @@ def _pgcd(f: FieldSpec, a: tuple, b: tuple) -> tuple:
     return _pmonic(f, a) if a else ()
 
 
-def _ppow_mod(f: FieldSpec, base: tuple, exp: int, mod: tuple) -> tuple:
-    result = (1,)
-    base = _pmod(f, base, mod)
-    while exp:
-        if exp & 1:
-            result = _pmod(f, _pmul(f, result, base), mod)
-        base = _pmod(f, _pmul(f, base, base), mod)
-        exp >>= 1
-    return result
+def _power(mul, identity, x, t: int):
+    """x^t for t >= 0 by square-and-multiply under the group law mul."""
+    acc = identity
+    while t:
+        if t & 1:
+            acc = mul(acc, x)
+        x = mul(x, x)
+        t >>= 1
+    return acc
 
 
 # -- Poly ----------------------------------------------------------------------
@@ -571,18 +575,20 @@ def enumerate_irreducibles(field: FieldSpec, n: int) -> tuple[Poly, ...]:
     return tuple(Poly._raw(field, cs) for cs in _irreducible_coeff_table(field, n))
 
 
+@lru_cache(maxsize=None)
 def prime_degrees(f: Poly) -> tuple[int, ...]:
     """Ascending degrees of the distinct irreducible factors of a nonzero f,
     by distinct-degree factorization: step i takes h = X^(q^i) mod r, and
     g = gcd(h - X, r) is the product of the factors of degree i, those of
     lower degree being gone; r loses each with all its multiplicity.  A
-    remainder of degree below 2(i + 1) is irreducible."""
+    remainder of degree below 2(i + 1) is irreducible.  Cached per f, so
+    the unit group, phi(d) and the main term of a modulus factor it once."""
     field, r = f.field, f.coeffs
     x = h = (0, 1)
     degrees, i = [], 0
     while len(r) - 1 >= 2 * (i + 1):
         i += 1
-        h = _ppow_mod(field, h, field.q, r)
+        h = _power(lambda a, b: _pmod(field, _pmul(field, a, b), r), (1,), h, field.q)
         g = _pgcd(field, _psub(field, h, x), r)
         degrees += [i] * ((len(g) - 1) // i)
         while len(g) > 1:
@@ -643,7 +649,7 @@ def factor_stats(f: Poly) -> FactorStats:
 def phi_poly(d: Poly) -> int:
     """Order of the unit group modulo d: q^deg d prod over primes p | d of (1 - q^-deg p)."""
     if not d.is_monic or d.degree < 1:
-        raise ValueError("phi_poly expects a monic modulus of degree >= 1")
+        raise ValueError("modulus must be monic of degree >= 1")
     q, degrees = d.field.q, prime_degrees(d)
     out = q ** (d.degree - sum(degrees))
     for b in degrees:

@@ -11,7 +11,9 @@ Representation conventions used throughout this module:
   a slot of slot_bits(q, N) bits at bit n B + v W + k slot, with
   W = (K+1) slot and B = |G| W, v the index of the class; a GroupSeries
   keeps its degree rows.  Every slot value is a genuine count bounded by
-  q^N, so no slot ever carries into its neighbor.
+  q^N, so no slot ever carries into its neighbor.  A GroupSeries reads
+  and refuses to build by the rules of exactcount's global tables
+  (_table_holds, _check_budget).
 * The kernel multiplies out the product over irreducibles p not dividing
   d of (1 + z T^deg(p) e_[p]), e_[p] the basis vector of the class of p.
   Two factors of degree above N/2 multiply past T^N, so each of those is
@@ -54,8 +56,8 @@ from .algebra import (
 )
 from .characters import (CharacterSums, _axes, _rotate, _rotation, _tile, twisted_series,
                          unit_group, word_primes)
-from .errors import BudgetExceededError, ConsistencyError
-from .exactcount import byte_budget, max_omega, slot_bits
+from .errors import ConsistencyError
+from .exactcount import _check_budget, _table_holds, max_omega, slot_bits
 
 __all__ = [
     "APQuery",
@@ -117,15 +119,8 @@ class GroupSeries:
         self.rows = rows
 
     def count(self, g, n: int, k: int) -> int:
-        if not 0 <= n <= self.N:
-            raise ValueError(f"degree {n} outside [0, {self.N}]")
-        if k < 0:
-            raise ValueError("k must be nonnegative")
-        if k > self.K:
-            # beyond the truncation; only safe to answer when provably zero
-            if k > max_omega(self.group.q, n):
-                return 0
-            raise ValueError(f"k = {k} exceeds the truncation K = {self.K}")
+        if not _table_holds(self.group.q, self.N, self.K, n, k):
+            return 0
         if not isinstance(g, int):
             g = self.group.index_of(g)
         elif not 0 <= g < self.group.order:
@@ -151,11 +146,9 @@ def ap_series(d: Poly, N: int, K: int | None = None, budget: int | None = None) 
     slot = slot_bits(q, N)
     # the kernel's peak: a rotation mask per axis of the group and a dozen
     # tables (the trunc mask, the table itself and transient copies of it)
-    estimated = (len(group.structure) + 12) * (N + 1) * group.order * (K + 1) * slot // 8
-    limit = byte_budget() if budget is None else budget
-    if estimated > limit:
-        raise BudgetExceededError(
-            f"group series of estimated size {estimated} bytes exceeds the budget {limit}")
+    _check_budget("group series",
+                  (len(group.structure) + 12) * (N + 1) * group.order * (K + 1) * slot // 8,
+                  budget)
     counts = group.irreducible_classes(N)
     packed = _class_product(group, counts, N, K, slot)
     B = group.order * (K + 1) * slot
@@ -218,12 +211,10 @@ def _table_sum(d: Poly, terms, series: GroupSeries | None, budget: int | None) -
         series = ap_series(d, N, K, budget=budget)
     elif series.group.d != d:
         raise ValueError("series was built for a different modulus")
-    elif series.N < N:
-        raise ValueError("series truncation is below the queried degree")
     return sum(series.count(g, n, k) for g, n, k in live)
 
 
-def pi_k_ap_exact(qy: APQuery, series: GroupSeries | None = None,
+def pi_k_ap_exact(qy: APQuery, *, series: GroupSeries | None = None,
                   budget: int | None = None) -> int:
     """Exact count of squarefree f in the progression g mod d, deg n, k factors."""
     return _table_sum(qy.d, ((qy.g, qy.n, qy.k),), series, budget)
@@ -290,8 +281,8 @@ def interval_progressions(qy: IntervalQuery):
     return d, tuple(terms)
 
 
-def pi_k_interval_exact(qy: IntervalQuery, budget: int | None = None,
-                        series: GroupSeries | None = None) -> int:
+def pi_k_interval_exact(qy: IntervalQuery, *, series: GroupSeries | None = None,
+                        budget: int | None = None) -> int:
     """Exact count of squarefree f with deg(f - g) <= h and k factors.
 
     Sums the progression table mod X^(n-h) over interval_progressions.  A

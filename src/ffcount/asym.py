@@ -154,6 +154,11 @@ def _local_log_term(zc: complex, w: float, a: float) -> complex:
     return acc
 
 
+def _like(z, out: complex):
+    """out for a complex z, its real part for a real z."""
+    return out if isinstance(z, complex) else out.real
+
+
 def euler_F(z, q, cfg: AnalyticConfig | None = None):
     """Product over irreducibles of (1 + z q^-deg)(1 - q^-deg)^z, truncated.
 
@@ -170,10 +175,7 @@ def euler_F(z, q, cfg: AnalyticConfig | None = None):
         if zc * w == -1:
             raise ValueError("z = -q^%d is a zero of a local factor" % d)
         acc += irreducible_count(q, d) * _local_log_term(zc, w, a)
-    out = cmath.exp(acc)
-    if isinstance(z, complex):
-        return out
-    return out.real
+    return _like(z, cmath.exp(acc))
 
 
 _LANCZOS_G = 607.0 / 128.0
@@ -219,10 +221,7 @@ def gamma_real(x: float) -> float:
 
 def bigG(z, q, cfg: AnalyticConfig | None = None):
     """euler_F(z) / gamma(1 + z)."""
-    out = euler_F(complex(z), q, cfg) / gamma_complex(1 + complex(z))
-    if isinstance(z, complex):
-        return out
-    return out.real
+    return _like(z, euler_F(complex(z), q, cfg) / gamma_complex(1 + complex(z)))
 
 
 def bigGd(z, d: Poly, cfg: AnalyticConfig | None = None):
@@ -239,10 +238,7 @@ def bigGd(z, d: Poly, cfg: AnalyticConfig | None = None):
         if loc == 0:
             raise ValueError("z cancels a correction factor of the modulus")
         corr *= loc
-    out = bigG(zc, q, cfg) / corr
-    if isinstance(z, complex):
-        return out
-    return out.real
+    return _like(z, bigG(zc, q, cfg) / corr)
 
 
 def bigH(z, q, cfg: AnalyticConfig | None = None):
@@ -251,10 +247,7 @@ def bigH(z, q, cfg: AnalyticConfig | None = None):
     zc = complex(z)
     if q + zc == 0:
         raise ValueError("z = -q is a pole of the interval factor")
-    out = q / (q + zc) * bigG(zc, q, cfg)
-    if isinstance(z, complex):
-        return out
-    return out.real
+    return _like(z, q / (q + zc) * bigG(zc, q, cfg))
 
 
 def dz_asymptotic_ratio(n: int, z) -> complex:

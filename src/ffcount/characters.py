@@ -59,12 +59,7 @@ from collections import Counter, namedtuple
 from functools import lru_cache
 from operator import mul, sub
 
-from .algebra import (
-    Poly,
-    poly_gcd,
-    prime_degrees,
-    _monic_coeffs_from_index,
-)
+from .algebra import Poly, _monic_coeffs_from_index, _power, phi_poly, poly_gcd, prime_degrees
 from .errors import BudgetExceededError, ConsistencyError, RootFindingError
 from .exactcount import (BiSeries, _int_factorization, _is_prime_mr, _log_derivative_rows,
                          irreducible_count)
@@ -87,29 +82,16 @@ DEFAULT_GROUP_BUDGET = 100_000
 L_COEFF_NOTE = "coefficients indexed from degree 0; constant coefficient is 1"
 
 
-def _power(mul, identity, x, t: int):
-    """x^t for t >= 0 by square-and-multiply under the group law mul."""
-    acc = identity
-    while t:
-        if t & 1:
-            acc = mul(acc, x)
-        x = mul(x, x)
-        t >>= 1
-    return acc
-
-
 class UnitGroup:
     """Multiplicative group of residues coprime to a monic modulus."""
 
     def __init__(self, d: Poly):
-        if not d.is_monic or d.degree < 1:
-            raise ValueError("modulus must be monic of degree >= 1")
+        self.order = phi_poly(d)  # which checks d
         self.d = d
         self.field = d.field
         self.q = d.field.q
         self.m = d.degree
-        self.prime_degrees = degs = prime_degrees(d)  # phi(d) as in phi_poly
-        self.order = self.q ** (self.m - sum(degs)) * math.prod(self.q**b - 1 for b in degs)
+        self.prime_degrees = prime_degrees(d)
         if self.order > DEFAULT_GROUP_BUDGET:
             raise BudgetExceededError("unit group order %d exceeds budget %d"
                                       % (self.order, DEFAULT_GROUP_BUDGET))
@@ -278,11 +260,7 @@ class UnitGroup:
             tpow = powers.index(_power(mul, identity, v, n))
             if tpow % n:
                 raise ConsistencyError(f"v^{n} is best^{tpow}, and {n} does not divide {tpow}")
-            shift = (-(tpow // n)) % best_ord
-            adj = v
-            for _ in range(shift):
-                adj = mul(adj, best)
-            out.append((adj, n))
+            out.append((mul(v, powers[-(tpow // n) % best_ord]), n))
         return out
 
     def irreducible_classes(self, max_degree: int):

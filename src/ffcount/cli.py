@@ -287,7 +287,7 @@ def cmd_count(args) -> Report:
         "command": "count",
         "q": q,
         "mode": args.mode,
-        "rows": [{"n": n, "k": k, "count": str(series.cell(n, k) if k <= K else 0)}
+        "rows": [{"n": n, "k": k, "count": str(series.cell(n, k))}
                  for n in nrange for k in krange],
     }
     return Report(payload, ("q", "n", "k", "count"), ("rows",))
@@ -324,7 +324,7 @@ def cmd_compare(args) -> Report:
     rows = []
     for n in nrange:
         for k in krange:
-            exact = series.cell(n, k) if k <= K else 0
+            exact = series.cell(n, k)
             try:  # one G(r) serves both columns
                 core = asym._thm1(q, n, k, cfg, False)
             except OutsideProvenRangeError:

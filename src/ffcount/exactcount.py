@@ -26,7 +26,11 @@ Tables stay packed from the kernel to the report: a BiSeries keeps slots
 0..K-1 of each degree as one integer and slot K beside it.
 The class kernel of apinterval, which builds the progression tables,
 packs its slots the same way but keeps the whole table, every degree and
-every residue class, in one integer.
+every residue class, in one integer.  Both kinds of table read a count by
+one rule, _table_holds: a degree outside [0, N] or a negative k is an
+error, and a k past the cut K reads 0 only above max_omega(q, n), since
+a deeper table could hold any other count the cut hides.  Both refuse to
+build past the memory budget by one rule, _check_budget.
 
 The all-factors series (every monic polynomial, counted by distinct
 irreducible factors with multiplicity ignored) is obtained from the
@@ -188,22 +192,49 @@ def max_omega(q: int, n: int) -> int:
     return k
 
 
+def _table_holds(q: int, N: int, K: int, n: int, k: int) -> bool:
+    """Whether a table cut at T^N and z^K holds the count of T^n z^k.
+
+    False for a k past K above max_omega(q, n), a count zero by degree
+    alone; any other read outside the table is a ValueError.
+    """
+    if not 0 <= n <= N:
+        raise ValueError(f"degree {n} outside [0, {N}]")
+    if k < 0:
+        raise ValueError("k must be nonnegative")
+    if k <= K:
+        return True
+    if k > max_omega(q, n):
+        return False
+    raise ValueError(f"k = {k} exceeds the truncation K = {K}")
+
+
+def _check_budget(what: str, estimated: int, budget: int | None) -> None:
+    """Refuse a table of an estimated size in bytes above budget, or above
+    byte_budget() when budget is None; what names the table."""
+    limit = byte_budget() if budget is None else budget
+    if estimated > limit:
+        raise BudgetExceededError(
+            f"{what} of estimated size {estimated} bytes exceeds the budget {limit}")
+
+
 class BiSeries(namedtuple("BiSeries", "q N K slot rows tops")):
     """Truncated series with nonnegative integer coefficients, kept packed.
 
     The count attached to T^n z^k, n <= N, lies in slot k, k < K, of
     rows[n], one integer with slot bits per slot, and tops[n] is the count
-    of z^K.  row(n) unpacks one row, cell(n, k) reads one count.
+    of z^K.  row(n) unpacks one row, cell(n, k) reads one count, as
+    _table_holds allows.
     """
 
     __slots__ = ()
 
     def cell(self, n: int, k: int) -> int:
+        if not _table_holds(self.q, self.N, self.K, n, k):
+            return 0
         return self.tops[n] if k == self.K else self.rows[n] >> k * self.slot & (1 << self.slot) - 1
 
     def row(self, n: int) -> tuple:
-        if not 0 <= n <= self.N:
-            raise ValueError(f"row {n} outside [0, {self.N}]")
         return tuple([self.cell(n, k) for k in range(self.K + 1)])
 
 
@@ -216,12 +247,7 @@ def _check_series_budget(q: int, N: int, K: int, budget: int | None) -> int:
             "coefficient cap")
     # the recurrence packs n F_n, up to N q^N, into each slot
     slot = slot_bits(q, N) + N.bit_length()
-    estimated = (N + 1) * (K + 1) * slot // 8 + (N + 1) * 64
-    limit = byte_budget() if budget is None else budget
-    if estimated > limit:
-        raise BudgetExceededError(
-            f"series of estimated size {estimated} bytes exceeds the budget {limit}"
-        )
+    _check_budget("series", (N + 1) * (K + 1) * slot // 8 + (N + 1) * 64, budget)
     return slot
 
 
@@ -391,8 +417,6 @@ def cauchy_extract(series: BiSeries, n: int, k: int, r: float | None = None, M: 
     pure aliasing plus floating-point rounding; it at least halves when M
     doubles until the rounding floor is reached.
     """
-    if not 0 <= n <= series.N:
-        raise ValueError(f"row {n} outside series range")
     if k < 0 or k > series.K:
         raise ValueError(f"column {k} outside series range")
     if M < 64:
@@ -429,11 +453,9 @@ def omega_moments(series: BiSeries, n: int) -> OmegaMoments:
     The series must come from euler_product_allfactors with K large enough
     to hold every attainable factor count for degree n.
     """
-    if not 0 <= n <= series.N:
-        raise ValueError(f"degree {n} outside series range")
+    row = series.row(n)
     if series.K < max_omega(series.q, n):
         raise ValueError("series z-truncation is too small to cover degree n")
-    row = series.row(n)
     total = sum(row)
     if total != series.q**n:
         raise ValueError("row does not sum to q^n; series is not an all-factors table")

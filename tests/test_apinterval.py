@@ -369,6 +369,16 @@ def test_ap_query_validation():
         APQuery(3, 1, Poly.one(F3), _p(F3, "2,2"))  # modulus not monic
 
 
+def test_table_options_are_keyword_only():
+    # series and budget are easy to swap by position, so neither count
+    # takes them so
+    d = _p(F3, "0,1")
+    with pytest.raises(TypeError):
+        pi_k_ap_exact(APQuery(4, 2, Poly.one(F3), d), ap_series(d, 4))
+    with pytest.raises(TypeError):
+        pi_k_interval_exact(IntervalQuery(4, 2, Poly.x(F2, 4), 2), 1 << 20)
+
+
 def test_prebuilt_series_is_checked():
     d = _p(F3, "0,1")
     s = ap_series(d, 4)

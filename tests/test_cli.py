@@ -447,8 +447,10 @@ D42 = "1,1,0,0,1,1,1,1,0,1,1,1,1,0,0,1,1,1,0,0,1,0,1,1,1,0,0,1,1,0,1,1,0,0,0,1,0
     (["count", "--q", "2", "--n", "601"], "exceeds the 600-bit coefficient cap"),
     (["weil", "--q", "128", "--d", "0,1"], "extension field size 128 exceeds the table limit 64"),
     (["count", "--q", "2", "--n", "50", "--budget", "64"], "exceeds the budget 64"),
+    (["ap", "--q", "3", "--d", "0,1", "--g", "1", "--n", "12", "--k", "2", "--budget", "64"],
+     "group series of estimated size 2788 bytes exceeds the budget 64"),
 ], ids=["group-order", "group-order-irreducible-ap", "group-order-irreducible-weil", "bits",
-         "extension", "bytes"])
+         "extension", "bytes", "class-table-bytes"])
 def test_every_fixed_cap_exits_3_naming_it(capsys, argv, message):
     t0 = time.monotonic()
     code, out, err = run_cli(capsys, argv)
@@ -715,6 +717,17 @@ def test_ap_schema_and_value(capsys):
     assert payload["char_path"] == payload["exact"]
     assert payload["paths_agree"] is True
     assert payload["in_proven_range"] is False
+
+
+def test_ap_factors_its_modulus_once(capsys):
+    # the unit group, phi(d) and the main term's G_d all read the prime
+    # degrees of d, which one distinct-degree factorization supplies
+    algebra.prime_degrees.cache_clear()
+    characters.unit_group.cache_clear()
+    argv = ["ap", "--q", "3", "--d", "1,1,1,0,1", "--g", "1,0,0,1", "--n", "8", "--k", "2"]
+    assert run_cli(capsys, argv)[0] == 0
+    info = algebra.prime_degrees.cache_info()
+    assert info.misses == 1 and info.hits >= 2, info
 
 
 def test_ap_method_flag_same_report(capsys):

@@ -57,6 +57,28 @@ def test_squarefree_series_hand_values_q2():
     assert s.cell(2, 0) == 0
 
 
+@pytest.mark.parametrize("table", ["BiSeries", "GroupSeries"])
+def test_a_table_reads_only_what_its_truncation_holds(table):
+    # degree 10 over F_2 at K = 2: 156 squarefree monics have 3 distinct
+    # factors, and max_omega(2, 10) = 5, so k = 3 is hidden, not zero; the
+    # class table mod X + 1, whose one class has index 0, reads the same way
+    if table == "BiSeries":
+        read = euler_product_squarefree(2, 10, 2).cell
+    else:
+        series = ap_series(Poly(F2, [1, 1]), 10, 2)
+        read = lambda n, k: series.count(0, n, k)
+    assert euler_product_squarefree(2, 10, 3).cell(10, 3) == 156
+    with pytest.raises(ValueError, match="k = 3 exceeds the truncation K = 2"):
+        read(10, 3)
+    with pytest.raises(ValueError, match=r"degree -1 outside \[0, 10\]"):
+        read(-1, 1)
+    with pytest.raises(ValueError, match=r"degree 11 outside \[0, 10\]"):
+        read(11, 1)
+    with pytest.raises(ValueError, match="k must be nonnegative"):
+        read(3, -1)
+    assert max_omega(2, 3) == 2 and read(3, 5) == 0
+
+
 def test_allfactors_series_hand_values_q2():
     a = euler_product_allfactors(2, 4, 4)
     assert a.cell(2, 1) == 3  # X^2, (X+1)^2, X^2+X+1
