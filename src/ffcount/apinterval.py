@@ -139,7 +139,7 @@ def ap_series(d: Poly, N: int, K: int | None = None, budget: int | None = None) 
         raise ValueError("N must be >= 1")
     q = group.q
     if K is None:
-        K = min(N, max_omega(q, N))
+        K = max_omega(q, N)
     if K < 0:
         raise ValueError("K must be nonnegative")
     K = min(K, N)

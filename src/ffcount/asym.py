@@ -23,6 +23,11 @@ Representation conventions used throughout this module:
   away from 0.
 * Big integers and Fractions are moved into log space via ``ln_exact``,
   which never round-trips through a fixed-width float.
+* The q -> infinity limit is exact: ``qlimit_sum(n, k)`` is
+  (k-1)! c(n, k) / (n-1)!, with c(n, k) the number of permutations of n
+  things with k cycles, read from one row of unsigned Stirling numbers of
+  the first kind (the cycle count of a random permutation: Arratia,
+  Barbour and Tavare, Logarithmic Combinatorial Structures, EMS 2003).
 
 The gamma function is a fixed-coefficient Lanczos approximation (g=607/128,
 15 terms), accurate well past the 1e-12 contract on (0, 12] and usable on
@@ -35,7 +40,6 @@ import cmath
 import math
 import sys
 from collections import namedtuple
-from functools import lru_cache
 
 from .errors import OutsideProvenRangeError, UndefinedMainTermError
 from .exactcount import _coerce_q, irreducible_count, rising_factorial_over_factorial
@@ -429,30 +433,26 @@ def admissible_range(q, n: int, A: float, mode: str) -> int | None:
     raise ValueError("mode must be 'thm2_m' or 'thm3_h'")
 
 
-@lru_cache(maxsize=None)
-def _qlimit_row(j: int, n: int) -> tuple[Fraction, ...]:
-    # S_j(r) for r = 0..n: S_0 = 1; S_j(r) = sum_{m=1}^{r} S_{j-1}(r-m)/m
-    from fractions import Fraction  # only the qlimit sums pay for the import
-
-    if j == 0:
-        return (Fraction(1),) * (n + 1)
-    prev = _qlimit_row(j - 1, n)
-    out = [Fraction(0)] * (n + 1)
-    for r in range(1, n + 1):
-        s = Fraction(0)
-        for m in range(1, r + 1):
-            s += prev[r - m] / m
-        out[r] = s
-    return tuple(out)
-
-
 def qlimit_sum(n: int, k: int) -> Fraction:
-    """Exact harmonic-convolution sum over compositions of at most n-1 parts."""
+    """The large-q limit S(n, k) = (k-1)! c(n, k) / (n-1)!, exactly.
+
+    S(n, k) sums prod 1/m_i over the compositions m_1 + ... + m_(k-1) of at
+    most n-1; it is (k-1)!/(n-1)! times the unsigned Stirling number c(n, k),
+    the number of permutations of n things with k cycles (Arratia, Barbour
+    and Tavare, Logarithmic Combinatorial Structures, EMS 2003).  c(n, k) is
+    read from one row c(r, 0..k), updated n times by
+    c(r+1, j) = c(r, j-1) + r c(r, j).
+    """
     if k < 1:
         raise ValueError("k must be at least 1")
     if n < k:
         raise ValueError("n must be at least k")
-    return _qlimit_row(k - 1, n - 1)[n - 1]
+    from fractions import Fraction  # only the qlimit sums pay for the import
+
+    row = [1] + [0] * k
+    for r in range(n):
+        row = [0] + [row[j - 1] + r * row[j] for j in range(1, k + 1)]
+    return Fraction(math.factorial(k - 1) * row[k], math.factorial(n - 1))
 
 
 def qlimit_count(q, n: int, k: int) -> float:

@@ -388,8 +388,7 @@ def cmd_interval(args) -> Report:
     q = fld.q
     cfg = asym.AnalyticConfig(A=args.A)
     g = _poly_arg(fld, args.g, "g")
-    n = args.n if args.n is not None else g.degree
-    k, h = args.k, args.h
+    n, k, h = g.degree, args.k, args.h
     qy = apinterval.IntervalQuery(n, k, g, h)
     exact = apinterval.pi_k_interval_exact(qy, budget=args.budget)
     payload = {"command": "interval", "q": q, "g": g.text(), "n": n, "h": h, "k": k}
@@ -446,13 +445,11 @@ def cmd_qlimit(args) -> Report:
     q = _q_from_args(args, required=False)
     n, k = args.n, args.k
     s = asym.qlimit_sum(n, k)
-    payload = {
-        "command": "qlimit",
-        "n": n,
-        "k": k,
-        "sum": str(s),
-        "sum_float": float(s),
-    }
+    payload = {"command": "qlimit", "n": n, "k": k, "sum": str(s)}
+    try:
+        payload["sum_float"] = float(s)
+    except OverflowError:  # past the double range only the exact sum is a number
+        payload["sum_float"] = None
     columns = ("n", "k", "sum")
     if q is not None:
         payload["q"] = q
@@ -613,7 +610,6 @@ def _add_arguments(p, command: str) -> None:
         _add_common(p, builds_table=True)
     elif command == "interval":
         p.add_argument("--g", required=True, help="monic center polynomial")
-        p.add_argument("--n", type=int, help="degree; defaults to deg g")
         p.add_argument("--h", type=int, required=True, help="radius degree")
         p.add_argument("--k", type=int, required=True)
         p.add_argument("--A", type=float, default=2.0)
@@ -657,10 +653,7 @@ def main(argv=None) -> int:
         report = _COMMANDS[args.command][0](args)
         _emit(_batches(report, args.format), args.out)
         return report.exit_code
-    except UsageError as exc:
-        print(f"ffcount: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (UsageError, ValueError) as exc:
         print(f"ffcount: {exc}", file=sys.stderr)
         return 2
     except BudgetExceededError as exc:

@@ -44,8 +44,8 @@ row: the all-factor counts lie in [0, q^n], so they are its base-X digits.
 The integer number theory lives here too, since it needs no polynomial:
 the irreducible count Pi(d), the Mobius function, integer factorization
 and the Miller-Rabin test.  The global tables use only q and Pi, so this
-module imports ``algebra`` only inside the enumeration oracle and for a
-q given as a FieldSpec.
+module imports ``algebra`` only inside the enumeration oracle; q is an
+int throughout.
 """
 
 from __future__ import annotations
@@ -58,7 +58,6 @@ from operator import mul
 
 from .errors import BudgetExceededError, ConsistencyError
 
-DEFAULT_K_CAP = 40
 DEFAULT_BITS_CAP = 600
 DEFAULT_BYTE_BUDGET = 1 << 30
 # strides s whose sums sum_d q^d F_{n-sd} the squarefree recurrence updates
@@ -121,13 +120,9 @@ def _mobius_int(n: int) -> int:
 
 
 def _coerce_q(q) -> int:
-    """The field size: q itself, checked, or a FieldSpec's q."""
+    """The field size q, checked: an int of at least 2."""
     if not isinstance(q, int):
-        from .algebra import FieldSpec  # an int needs no polynomial layer
-
-        if isinstance(q, FieldSpec):
-            return q.q
-    q = int(q)
+        raise ValueError(f"q must be an int, not {type(q).__name__}")
     if q < 2:
         raise ValueError("q must be at least 2")
     return q
@@ -135,7 +130,7 @@ def _coerce_q(q) -> int:
 
 @lru_cache(maxsize=None)
 def irreducible_count(q, n: int) -> int:
-    """Number of monic irreducibles of degree n over F_q (q an integer or FieldSpec)."""
+    """Number of monic irreducibles of degree n over F_q (q an int)."""
     q = _coerce_q(q)
     if n < 1:
         raise ValueError("degree must be >= 1")
@@ -291,11 +286,12 @@ def euler_product_squarefree(
     """Counts of squarefree monic polynomials by degree and distinct-factor count.
 
     Row n, column k is the number of squarefree monic polynomials of degree
-    n over F_q with exactly k distinct monic irreducible factors.
+    n over F_q with exactly k distinct monic irreducible factors.  K
+    defaults to max_omega(q, N), every column a degree-N monic can fill.
     """
     q = _coerce_q(q)
     if K is None:
-        K = min(N, DEFAULT_K_CAP)
+        K = max_omega(q, N)
     slot = _check_series_budget(q, N, K, budget)
     # t Pi(t) = sum over d r = t of mu(r) q^d.  In the z^m sum, the terms
     # with m r <= L add up to mu(r) G_mr(n), where G_s(n) = sum_d q^d F_{n-sd};
@@ -334,11 +330,12 @@ def euler_product_allfactors(
 
     Row n, column k is the number of monic polynomials of degree n over F_q
     with exactly k distinct monic irreducible factors (multiplicities do not
-    add to k).  With K at least max_omega(q, n), row n sums to q^n.
+    add to k).  With K at least max_omega(q, n), row n sums to q^n; K
+    defaults to max_omega(q, N).
     """
     q = _coerce_q(q)
     if K is None:
-        K = min(N, DEFAULT_K_CAP)
+        K = max_omega(q, N)
     if N < 1 or K < 1:
         raise ValueError("N and K must be >= 1")
     full = max_omega(q, N)

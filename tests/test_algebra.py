@@ -155,7 +155,7 @@ def test_irreducible_count_hand_values():
     assert irreducible_count(2, 1) == 2
     assert irreducible_count(2, 4) == 3
     assert irreducible_count(3, 2) == 3
-    assert irreducible_count(F4, 1) == 4
+    assert irreducible_count(4, 1) == 4
 
 
 def test_irreducible_count_gauss_identity():

@@ -265,6 +265,30 @@ def test_qlimit_sum_hand_values():
         qlimit_sum(3, 0)
 
 
+def _harmonic_rows(n):
+    # the harmonic recurrence over compositions, for j, r < n:
+    # S_0 = 1, S_j(r) = sum_{m=1}^{r} S_(j-1)(r-m)/m, and S_j(r) = qlimit_sum(r+1, j+1)
+    rows = [[Fraction(1)] * n]
+    for _ in range(1, n):
+        prev = rows[-1]
+        rows.append([sum((prev[r - m] / m for m in range(1, r + 1)), Fraction(0))
+                     for r in range(n)])
+    return rows
+
+
+def test_qlimit_sum_matches_the_harmonic_recurrence():
+    rows = _harmonic_rows(60)
+    for n in range(1, 61):
+        for k in range(1, n + 1):
+            assert qlimit_sum(n, k) == rows[k - 1][n - 1], (n, k)
+
+
+def test_qlimit_sum_closed_values_at_large_n():
+    harmonic = sum((Fraction(1, m) for m in range(1, 3000)), Fraction(0))
+    assert qlimit_sum(3000, 2) == harmonic
+    assert qlimit_sum(1000, 1000) == 1
+
+
 def test_qlimit_count_magnitude():
     m = qlimit_count(101, 5, 2)
     want = 101**5 / 5 * (25 / 12)

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -853,6 +854,29 @@ def test_qlimit_with_field(capsys):
     assert payload["sum"] == "25/12"
     assert payload["q"] == 101
     assert payload["count_lnAbs"] > 0
+
+
+def test_qlimit_answers_at_every_k(capsys):
+    # the exact sum is one Stirling row, with no recursion depth in k
+    code, out, err = run_cli(capsys, ["qlimit", "--n", "496", "--k", "496"])
+    assert code == 0, err
+    assert json.loads(out)["sum"] == "1"
+    # past the double range the exact sum is still reported, its float is null
+    code, out, err = run_cli(capsys, ["qlimit", "--n", "2000", "--k", "1000"])
+    assert code == 0, err
+    payload = json.loads(out)
+    assert payload["sum_float"] is None
+    assert Fraction(payload["sum"]) > 2 ** 1024
+
+
+def test_interval_takes_its_degree_from_g(capsys):
+    argv = ["interval", "--q", "2", "--g", "1,0,1", "--h", "1", "--k", "1"]
+    code, out, err = run_cli(capsys, argv)
+    assert code == 0, err
+    assert json.loads(out)["n"] == 2
+    code, _, err = run_cli(capsys, argv + ["--n", "2"])
+    assert code == 2
+    assert "unrecognized arguments: --n 2" in err
 
 
 def test_selftest_all_green(capsys):

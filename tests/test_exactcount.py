@@ -10,6 +10,7 @@ import pytest
 from ffcount import exactcount
 from ffcount.algebra import Poly, default_modulus, field, irreducible_count
 from ffcount.apinterval import ap_series
+from ffcount.asym import main_term_thm1
 from ffcount.errors import BudgetExceededError
 from ffcount.exactcount import (
     brute_force_count,
@@ -203,6 +204,25 @@ def test_table_memory_stays_packed(build, args, bound):
     finally:
         tracemalloc.stop()
     assert peak <= bound, peak
+
+
+@pytest.mark.parametrize("call", [
+    lambda: irreducible_count(2.7, 3),
+    lambda: euler_product_squarefree(2.7, 5),
+    lambda: main_term_thm1(2.5, 50, 2),
+    lambda: irreducible_count("3", 2),
+], ids=["irreducible_count-float", "squarefree-float", "thm1-float", "irreducible_count-str"])
+def test_q_is_an_int_or_an_error(call):
+    # a float or a string q is refused, not rounded to another field
+    with pytest.raises(ValueError, match="q must be an int"):
+        call()
+
+
+def test_tables_default_to_every_column_a_degree_can_fill():
+    for q, N in ((2, 1), (2, 30), (5, 12)):
+        assert euler_product_squarefree(q, N).K == max_omega(q, N)
+        assert euler_product_allfactors(q, N).K == max_omega(q, N)
+    assert ap_series(Poly.x(F3, 1), 12).K == max_omega(3, 12)
 
 
 def test_brute_force_count_modes():
