@@ -51,11 +51,11 @@ DEFAULT_ENUM_BUDGET = 2_000_000
 _EXTENSION_Q_LIMIT = 64
 
 
-def _field_modulus(p: int, e: int, modulus, limit: int | None = None):
-    """The modulus of F_(p^e), once p is checked prime, e >= 1 and a given
-    modulus monic irreducible of degree e over F_p with coefficients in
-    [0, p); None for e = 1 or when none is given.  With a limit, a larger
-    extension field is refused before its modulus is read."""
+def _field_modulus(p: int, e: int, modulus):
+    """The modulus of F_(p^e), once p is checked prime, e >= 1, p^e within
+    the table limit when e > 1 (checked before the modulus is read) and a
+    given modulus monic irreducible of degree e over F_p with coefficients
+    in [0, p); None for e = 1 or when none is given."""
     if not _is_prime_mr(p):
         raise ValueError(f"p = {p} is not prime")
     if e < 1:
@@ -64,9 +64,9 @@ def _field_modulus(p: int, e: int, modulus, limit: int | None = None):
         if modulus is not None:
             raise ValueError("modulus is only meaningful for e > 1")
         return None
-    if limit is not None and p**e > limit:
+    if p**e > _EXTENSION_Q_LIMIT:
         raise BudgetExceededError(
-            f"extension field size {p**e} exceeds the table limit {limit}")
+            f"extension field size {p**e} exceeds the table limit {_EXTENSION_Q_LIMIT}")
     if modulus is None:
         return None
     f = Poly(FieldSpec(p), modulus)  # names a coefficient outside [0, p)
@@ -85,7 +85,7 @@ class FieldSpec:
     __slots__ = ("p", "e", "q", "modulus", "_mul_t", "_inv_t")
 
     def __init__(self, p: int, e: int = 1, modulus: tuple[int, ...] | None = None):
-        self.modulus = _field_modulus(p, e, modulus, _EXTENSION_Q_LIMIT)
+        self.modulus = _field_modulus(p, e, modulus)
         if e > 1 and self.modulus is None:
             raise ValueError("an explicit irreducible modulus is required for e > 1")
         self.p, self.e, self.q = p, e, p**e
@@ -200,7 +200,7 @@ def field(p: int, e: int = 1, modulus=None) -> FieldSpec:
 def default_modulus(p: int, e: int) -> tuple[int, ...]:
     """Lexicographically least monic irreducible of degree e over F_p; a
     field past the table limit is refused before the search of p^e monics."""
-    _field_modulus(p, e, None, _EXTENSION_Q_LIMIT)
+    _field_modulus(p, e, None)
     base = field(p)
     for idx in range(p**e):
         coeffs = _monic_coeffs_from_index(base, e, idx)

@@ -31,11 +31,13 @@ Representation conventions used throughout this module:
   degree and factor count by one.  interval_progressions is the one place
   that builds these terms; the exact and the character paths both sum
   over them.
-* Both paths keep only the live terms (g, n, k): a count is zero by
-  degree alone unless n = k = 0 or 1 <= k <= max_omega(q, n).  Such zero
-  counts are reported without building a table, so they never exceed a
-  budget, and the table or the twisted series is built just deep enough
-  for the live terms: N the largest live n, K the largest live k.
+* Both paths split the terms (g, n, k) once, by _split_terms: a degree-0
+  term counts the empty product, 1 when g lies in the class 1 and k = 0;
+  a term of degree n >= 1 is zero by degree alone unless
+  1 <= k <= max_omega(q, n), and the others are live.  With no live term
+  neither path builds a unit group, so such counts never exceed a
+  budget; otherwise the table or the twisted series is built just deep
+  enough for the live terms: N the largest live n, K the largest live k.
 * The character path is exact and independent of the tables: for each
   word-size prime P = 1 (mod E) it sums conj(chi(g)) F_chi[n][k] over
   the characters in F_P, where F_chi is the twisted series that
@@ -134,15 +136,15 @@ def ap_series(d: Poly, N: int, K: int | None = None, budget: int | None = None) 
     Class sizes come from the Newton recurrence of
     UnitGroup.irreducible_classes; no irreducible is enumerated.
     """
-    group = unit_group(d)
     if N < 1:
         raise ValueError("N must be >= 1")
-    q = group.q
+    q = d.field.q
     if K is None:
         K = max_omega(q, N)
     if K < 0:
         raise ValueError("K must be nonnegative")
     K = min(K, N)
+    group = unit_group(d)
     slot = slot_bits(q, N)
     # the kernel's peak: a rotation mask per axis of the group and a dozen
     # tables (the trunc mask, the table itself and transient copies of it)
@@ -189,29 +191,33 @@ def _class_product(group, classes, N: int, K: int, slot: int) -> int:
     return Q
 
 
-def _live_terms(q: int, terms):
-    """The live terms (g, n, k), those whose count is not zero by degree
-    alone (see the module notes), and the depth (N, K) of a table that
-    holds them: their largest n and k, both 0 when no term is live."""
-    live = [(g, n, k) for g, n, k in terms if n == k == 0 or 1 <= k <= max_omega(q, n)]
+def _split_terms(d: Poly, terms):
+    """(empty, live, N, K) for the terms (g, n, k) mod d, by the rule of the
+    module notes: empty, the number of degree-0 terms counting the empty
+    product; live, the terms of degree n >= 1 not zero by degree alone;
+    and the depth (N, K) of a table that holds them, their largest n and
+    k, both 0 when no term is live."""
+    one = Poly.one(d.field)
+    empty = sum(n == k == 0 and g % d == one for g, n, k in terms)
+    q = d.field.q
+    live = [(g, n, k) for g, n, k in terms if n >= 1 and 1 <= k <= max_omega(q, n)]
     N = max((n for _, n, _ in live), default=0)
     K = max((k for _, _, k in live), default=0)
-    return live, N, K
+    return empty, live, N, K
 
 
 def _table_sum(d: Poly, terms, series: GroupSeries | None, budget: int | None) -> int:
     """Sum of the progression counts of the terms (g, n, k) mod d, read
     from series (checked to be mod d and deep enough) or from a new table
-    just deep enough for the live terms; degree-0 terms need no table."""
-    live, N, K = _live_terms(d.field.q, terms)
-    if N == 0:  # only the empty product is left, and it lies in the class 1
-        one = Poly.one(d.field)
-        return sum(g % d == one for g, _, _ in live)
+    just deep enough for the live terms; without a live term, no table."""
+    empty, live, N, K = _split_terms(d, terms)
+    if not live:
+        return empty
     if series is None:
         series = ap_series(d, N, K, budget=budget)
     elif series.group.d != d:
         raise ValueError("series was built for a different modulus")
-    return sum(series.count(g, n, k) for g, n, k in live)
+    return empty + sum(series.count(g, n, k) for g, n, k in live)
 
 
 def pi_k_ap_exact(qy: APQuery, *, series: GroupSeries | None = None,
@@ -237,10 +243,10 @@ def _char_sweep(d: Poly, terms) -> int:
     terms of conj(chi(g)) F_chi[n][k] mod P.  Primes are added until their
     product exceeds the largest possible sum, so the CRT value is exact.
     """
-    group = unit_group(d)
-    live, N, K = _live_terms(group.q, terms)
+    empty, live, N, K = _split_terms(d, terms)
     if not live:
-        return 0
+        return empty
+    group = unit_group(d)
     gvecs = [group.dlog(group.index_of(g)) for g, _, _ in live]
     # each term counts monics of degree at most N
     bound = len(live) * group.q ** N
@@ -257,7 +263,7 @@ def _char_sweep(d: Poly, terms) -> int:
         total += modulus * ((r - total) * pow(modulus, -1, P) % P)
         modulus *= P
         if modulus > bound:
-            return total
+            return empty + total
     raise ConsistencyError("ran out of word-size primes for the character sum")
 
 

@@ -455,9 +455,9 @@ def qlimit_sum(n: int, k: int) -> Fraction:
     return Fraction(math.factorial(k - 1) * row[k], math.factorial(n - 1))
 
 
-def qlimit_count(q, n: int, k: int) -> float:
-    """Log of the large-q approximate count (q^n/n) * qlimit_sum / (k-1)!."""
+def qlimit_count(q, n: int, k: int, s) -> float:
+    """Log of the large-q approximate count (q^n/n) * s / (k-1)!, for s the
+    exact sum qlimit_sum(n, k), which the caller has already computed."""
     q = _coerce_q(q)
-    s = qlimit_sum(n, k)
     ln_val = n * math.log(q) - math.log(n) - math.log(math.factorial(k - 1))
     return ln_exact(s) + ln_val

@@ -6,10 +6,10 @@ Representation conventions used throughout this module:
   in degree ("1,0,1" is 1 + X^2); over an extension field each coefficient
   is a slash-separated vector over the prime subfield.  Reports echo
   polynomials in the same format.
-* The field comes from --q <prime power> or from --p with optional --e
-  and --modulus; ap, interval and weil pick the default modulus when the
-  exponent exceeds 1 and none is given.  --q with any of --p, --e,
-  --modulus, or --e or --modulus without --p, is a usage error.
+* Every command names its field by --q, a prime power p^e, checked by its
+  exact roots alone.  Only ap, interval and weil write polynomials down,
+  so only they take --modulus M, which models F_q as F_p[t]/(M) when
+  e > 1; without it they pick the default modulus.
 * Integer ranges: "8" is a single point, "2:8" is inclusive with step 1,
   "50:400:x2" is geometric with integer factor 2, capped at the upper
   endpoint.
@@ -37,9 +37,7 @@ Representation conventions used throughout this module:
   first attribute access.  ``count`` and ``omega-stats`` run none of them;
   ``compare``, ``asym`` and ``qlimit`` run ``asym``; ``weil`` runs
   ``algebra`` and ``characters``; ``ap``, ``interval`` and ``selftest``
-  run all four.  A field given by --p, --e and --modulus runs ``algebra``
-  in any command, which checks p and the modulus; a --q is checked by its
-  prime-power split alone.  Only ``exactcount`` is imported eagerly: every
+  run all four.  Only ``exactcount`` is imported eagerly: every
   command calls it (``max_omega``, Miller-Rabin for --q), and it holds the
   integer helpers, so the global counts need no polynomial layer.
   ``fractions`` is imported only where a Fraction is built:
@@ -166,41 +164,24 @@ def _prime_power(q: int) -> tuple[int, int]:
     raise UsageError(f"--q {q} is not a prime power")
 
 
-def _field_args(args, required: bool = True) -> tuple | None:
-    """(p, e, modulus) from the field flags, the modulus None unless
-    --modulus gives it; None when no field is given and none is required."""
-    mod = None
+def _q_arg(args) -> int | None:
+    """--q, checked to be a prime power; None when it is not given."""
     if args.q is not None:
-        if (args.p, args.e, args.modulus) != (None, None, None):
-            raise UsageError("--q cannot be combined with --p, --e or --modulus")
-        p, e = _prime_power(args.q)
-    elif args.p is not None:
-        p, e = args.p, args.e if args.e is not None else 1
-        if args.modulus is not None:
-            try:
-                mod = tuple(int(c) for c in args.modulus.split(","))
-            except ValueError:
-                raise UsageError(f"--modulus: cannot parse {args.modulus!r}") from None
-    elif args.e is not None or args.modulus is not None:
-        raise UsageError("--e and --modulus need --p")
-    elif required:
-        raise UsageError("a field is required: pass --q or --p")
-    else:
-        return None
-    return p, e, mod
+        _prime_power(args.q)
+    return args.q
 
 
-def _q_from_args(args, required: bool = True) -> int | None:
-    """q for the commands whose recurrences need only the integer: the field
-    flags are checked as a FieldSpec checks them, but no default modulus is
-    searched for and no tables are built, so their size limit does not apply.
-    A --q is checked by its prime-power split alone."""
-    spec = _field_args(args, required)
-    if spec is None:
-        return None
-    if args.q is None:
-        algebra._field_modulus(*spec)
-    return spec[0] ** spec[1]
+def _field(args) -> algebra.FieldSpec:
+    """F_q for the commands that write polynomials down: F_p[t]/(M) for the
+    --modulus M when it is given, else for the default modulus."""
+    p, e = _prime_power(args.q)
+    mod = None
+    if args.modulus is not None:
+        try:
+            mod = tuple(int(c) for c in args.modulus.split(","))
+        except ValueError:
+            raise UsageError(f"--modulus: cannot parse {args.modulus!r}") from None
+    return algebra.field(p, e, mod)
 
 
 def _poly_arg(fld: algebra.FieldSpec, text: str, what: str) -> algebra.Poly:
@@ -271,7 +252,7 @@ def _emit(batches, out_path: str | None) -> None:
 
 
 def cmd_count(args) -> Report:
-    q = _q_from_args(args)
+    q = _q_arg(args)
     nrange = _parse_range(args.n, "--n")
     if min(nrange) < 0:
         raise UsageError("--n: degrees must be nonnegative")
@@ -294,7 +275,7 @@ def cmd_count(args) -> Report:
 
 
 def cmd_asym(args) -> Report:
-    q = _q_from_args(args)
+    q = _q_arg(args)
     cfg = asym.AnalyticConfig(A=args.A)
     nrange = _parse_range(args.n, "--n")
     krange = _parse_range(args.k, "--k")
@@ -312,7 +293,7 @@ def cmd_asym(args) -> Report:
 
 
 def cmd_compare(args) -> Report:
-    q = _q_from_args(args)
+    q = _q_arg(args)
     cfg = asym.AnalyticConfig(A=args.A)
     nrange = _parse_range(args.n, "--n")
     krange = _parse_range(args.k, "--k")
@@ -369,7 +350,7 @@ def _dual_path_report(label, qy, exact, chars, term, payload) -> Report:
 
 
 def cmd_ap(args) -> Report:
-    fld = algebra.field(*_field_args(args))
+    fld = _field(args)
     q = fld.q
     cfg = asym.AnalyticConfig(A=args.A)
     d = _poly_arg(fld, args.d, "d")
@@ -384,7 +365,7 @@ def cmd_ap(args) -> Report:
 
 
 def cmd_interval(args) -> Report:
-    fld = algebra.field(*_field_args(args))
+    fld = _field(args)
     q = fld.q
     cfg = asym.AnalyticConfig(A=args.A)
     g = _poly_arg(fld, args.g, "g")
@@ -398,7 +379,7 @@ def cmd_interval(args) -> Report:
 
 
 def cmd_weil(args) -> Report:
-    fld = algebra.field(*_field_args(args))
+    fld = _field(args)
     d = _poly_arg(fld, args.d, "d")
     # also on an order-1 group, which has no character to check
     characters._check_tol(args.tol)
@@ -417,7 +398,7 @@ def cmd_weil(args) -> Report:
 
 
 def cmd_omega_stats(args) -> Report:
-    q = _q_from_args(args)
+    q = _q_arg(args)
     nrange = _parse_range(args.n, "--n")
     if min(nrange) < 1:
         raise UsageError("--n: omega-stats needs n >= 1")
@@ -442,7 +423,7 @@ def cmd_omega_stats(args) -> Report:
 
 
 def cmd_qlimit(args) -> Report:
-    q = _q_from_args(args, required=False)
+    q = _q_arg(args)
     n, k = args.n, args.k
     s = asym.qlimit_sum(n, k)
     payload = {"command": "qlimit", "n": n, "k": k, "sum": str(s)}
@@ -453,7 +434,7 @@ def cmd_qlimit(args) -> Report:
     columns = ("n", "k", "sum")
     if q is not None:
         payload["q"] = q
-        payload["count_lnAbs"] = asym.qlimit_count(q, n, k)
+        payload["count_lnAbs"] = asym.qlimit_count(q, n, k, s)
         columns += ("q", "count_lnAbs")
     return Report(payload, columns)
 
@@ -566,38 +547,28 @@ def _byte_count(text: str) -> int:
     return budget
 
 
-def _add_common(p, with_field=True, builds_table=False):
-    if with_field:
-        p.add_argument("--q", type=int, help="field size, a prime power")
-        p.add_argument("--p", type=int, help="field characteristic")
-        p.add_argument("--e", type=int, help="extension degree over F_p")
-        p.add_argument("--modulus", help="defining modulus coefficients, comma separated")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--out", help="write the report to this path atomically")
-    if builds_table:
-        p.add_argument("--budget", type=_byte_count, default=None,
-                       help="memory cap in bytes for the table builders")
-
-
 def _add_arguments(p, command: str) -> None:
     """The flags of one subcommand."""
+    if command != "selftest":
+        p.add_argument("--q", type=int, required=command != "qlimit",
+                       help="field size, a prime power")
+    if command in ("ap", "interval", "weil"):  # the commands that read polynomials
+        p.add_argument("--modulus", help="F_q as F_p[t]/(M): M's coefficients over F_p, "
+                                         "comma separated; a default M when omitted")
     if command == "count":
         p.add_argument("--n", required=True, help="degree or degree range")
         p.add_argument("--k", help="factor count or range; all columns when omitted")
         p.add_argument("--mode", choices=("squarefree", "all"), default="squarefree")
-        _add_common(p, builds_table=True)
     elif command == "asym":
         p.add_argument("--n", required=True)
         p.add_argument("--k", required=True)
         p.add_argument("--A", type=float, default=2.0)
         p.add_argument("--override", action="store_true",
                        help="evaluate outside the proven k range")
-        _add_common(p)
     elif command == "compare":
         p.add_argument("--n", required=True)
         p.add_argument("--k", required=True)
         p.add_argument("--A", type=float, default=2.0)
-        _add_common(p, builds_table=True)
     elif command == "ap":
         p.add_argument("--d", required=True, help="modulus polynomial")
         p.add_argument("--g", required=True, help="residue polynomial")
@@ -607,26 +578,24 @@ def _add_arguments(p, command: str) -> None:
         p.add_argument("--method", choices=("auto", "class"), default="auto",
                        help="irreducible class counts: both choices run the Newton "
                             "recurrence")
-        _add_common(p, builds_table=True)
     elif command == "interval":
         p.add_argument("--g", required=True, help="monic center polynomial")
         p.add_argument("--h", type=int, required=True, help="radius degree")
         p.add_argument("--k", type=int, required=True)
         p.add_argument("--A", type=float, default=2.0)
-        _add_common(p, builds_table=True)
     elif command == "weil":
         p.add_argument("--d", required=True, help="modulus polynomial")
         p.add_argument("--tol", type=float, default=1e-6)
-        _add_common(p)
     elif command == "omega-stats":
         p.add_argument("--n", required=True)
-        _add_common(p, builds_table=True)
     elif command == "qlimit":
         p.add_argument("--n", type=int, required=True)
         p.add_argument("--k", type=int, required=True)
-        _add_common(p)
-    else:  # selftest
-        _add_common(p, with_field=False)
+    p.add_argument("--format", choices=("json", "csv"), default="json")
+    p.add_argument("--out", help="write the report to this path atomically")
+    if command in ("count", "compare", "ap", "interval", "omega-stats"):  # the table builders
+        p.add_argument("--budget", type=_byte_count, default=None,
+                       help="memory cap in bytes for the table builders")
 
 
 def _build_parser(command: str | None = None) -> argparse.ArgumentParser:

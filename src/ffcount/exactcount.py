@@ -236,10 +236,12 @@ class BiSeries(namedtuple("BiSeries", "q N K slot rows tops")):
 def _check_series_budget(q: int, N: int, K: int, budget: int | None) -> int:
     if N < 1 or K < 1:
         raise ValueError("N and K must be >= 1")
-    if N * math.log2(q) > DEFAULT_BITS_CAP + 1e-9:
+    # q^N > 2^cap, in integers; a q of more than cap/N + 1 bits is past the
+    # cap before its power is built, so no power passes 2^(cap + N)
+    if N * (q.bit_length() - 1) > DEFAULT_BITS_CAP or q**N > 1 << DEFAULT_BITS_CAP:
         raise BudgetExceededError(
-            f"series truncation N = {N} over F_{q} exceeds the {DEFAULT_BITS_CAP}-bit "
-            "coefficient cap")
+            f"series truncation N = {N} over F_q exceeds the {DEFAULT_BITS_CAP}-bit "
+            f"coefficient cap: q^N > 2^{DEFAULT_BITS_CAP}")
     # the recurrence packs n F_n, up to N q^N, into each slot
     slot = slot_bits(q, N) + N.bit_length()
     _check_budget("series", (N + 1) * (K + 1) * slot // 8 + (N + 1) * 64, budget)

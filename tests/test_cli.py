@@ -126,14 +126,11 @@ _LAYERS_BY_COMMAND = [
      ["algebra", "characters", "apinterval", "asym"], False),
     (["interval", "--q", "2", "--g", "1,0,0,0,1", "--h", "2", "--k", "2"],
      ["algebra", "characters", "apinterval", "asym"], False),
-    # a given modulus is checked irreducible, which needs polynomials
-    (["count", "--p", "2", "--e", "2", "--modulus", "1,1,1", "--n", "5"], ["algebra"], False),
 ]
 
 
 @pytest.mark.parametrize("argv, layers, fractions", _LAYERS_BY_COMMAND,
-                         ids=[argv[0] + "-modulus" * ("--modulus" in argv)
-                              for argv, _, _ in _LAYERS_BY_COMMAND])
+                         ids=[argv[0] for argv, _, _ in _LAYERS_BY_COMMAND])
 def test_each_command_runs_only_the_layers_it_calls(argv, layers, fractions):
     # a fresh interpreter per command, as every command runs; the audit hook
     # sees each module body that runs, and fractions only where one is built
@@ -337,18 +334,56 @@ def test_main_term_errors_are_told_apart_by_type(monkeypatch, capsys):
 
 
 def test_field_flag_conflict(capsys):
-    assert run_cli(capsys, ["count", "--q", "2", "--p", "2", "--n", "3"])[0] == 2
+    # every command names its field by --q alone: --p and --e are no flags
+    for args in _ONE_PER_COMMAND:
+        for flag in ("--p", "--e"):
+            argv = args.split() + [flag, "2"]
+            code, out, err = run_cli(capsys, argv)
+            assert (code, out) == (2, ""), argv
+            assert f"unrecognized arguments: {flag} 2" in err, argv
 
 
-def test_extension_flags_without_p_exit_2(capsys):
-    # --e and --modulus refine --p; --q picks its own modulus, and qlimit
-    # runs without a field, so neither may drop them silently
-    for argv in (["count", "--q", "4", "--n", "3", "--e", "3"],
-                 ["count", "--q", "4", "--n", "3", "--modulus", "1,1,1"],
-                 ["qlimit", "--n", "5", "--k", "2", "--e", "3"]):
+def test_modulus_exits_2_on_table_commands(capsys):
+    # only the commands that write polynomials down model F_q by a modulus
+    for args in ("count --q 4 --n 3", "compare --q 4 --n 10 --k 2", "omega-stats --q 4 --n 6",
+                 "asym --q 4 --n 10 --k 2", "qlimit --q 4 --n 5 --k 2", "qlimit --n 5 --k 2"):
+        argv = args.split() + ["--modulus", "1,1,1"]
         code, out, err = run_cli(capsys, argv)
         assert (code, out) == (2, ""), argv
-        assert err.startswith("ffcount: ")
+        assert "unrecognized arguments: --modulus 1,1,1" in err, argv
+
+
+def test_modulus_selects_the_model_of_the_field(capsys):
+    # X^2 + 2X + 2 over F_3 and X^3 + X^2 + 1 over F_2 are not the default
+    # moduli; the counts and the Weil report do not depend on the model
+    assert algebra.default_modulus(3, 2) != (2, 2, 1)
+    assert algebra.default_modulus(2, 3) != (1, 0, 1, 1)
+    code, out, _ = run_cli(capsys, ["ap", "--q", "9", "--modulus", "2,2,1", "--d", "0,0,1",
+                                    "--g", "1", "--n", "4", "--k", "2"])
+    want = {"command": "ap", "q": 9, "d": "0/0,0/0,1/0", "g": "1/0", "n": 4, "k": 2,
+            "exact": "50", "char_path": "50", "paths_agree": True,
+            "main_term_lnAbs": 3.392162142881349, "in_proven_range": False}
+    assert (code, out) == (0, json.dumps(want, indent=2) + "\n")
+    weil = ["weil", "--q", "8", "--d", "1,1"]
+    code, out, _ = run_cli(capsys, weil + ["--modulus", "1,0,1,1"])
+    assert (code, out) == run_cli(capsys, weil)[:2] and code == 0
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    (["weil", "--q", "4", "--modulus", "1,1,3", "--d", "0,1"], 2, "coefficient 3 outside [0, 2)"),
+    (["weil", "--q", "4", "--modulus", "1,1,-1", "--d", "0,1"], 2, "outside [0, 2)"),
+    (["weil", "--q", "4", "--modulus", "1,0,1", "--d", "0,1"], 2, "not irreducible"),
+    (["weil", "--q", "4", "--modulus", "1,1", "--d", "0,1"], 2, "degree e = 2"),
+    (["weil", "--q", "3", "--modulus", "1,1", "--d", "0,1"], 2, "only meaningful for e > 1"),
+    (["ap", "--q", "4", "--modulus", "1,x,1", "--d", "0,1", "--g", "1", "--n", "2", "--k", "1"],
+     2, "--modulus: cannot parse '1,x,1'"),
+    (["weil", "--q", "128", "--modulus", "1,0,0,0,0,0,0,1", "--d", "0,1"], 3,
+     "extension field size 128 exceeds the table limit 64"),
+], ids=["coefficient", "negative", "reducible", "degree", "prime-field", "parse", "limit"])
+def test_modulus_is_checked_by_the_field_commands(capsys, argv, code, message):
+    # X^7 + 1 is reducible over F_2, but F_128 is refused before it is read
+    got, out, err = run_cli(capsys, argv)
+    assert (got, out) == (code, "") and err.startswith("ffcount: ") and message in err, err
 
 
 def test_prime_power_shorthand(capsys):
@@ -388,23 +423,13 @@ def test_commands_that_need_only_q_build_no_field_tables(capsys):
     for argv in (["asym", "--q", "128", "--n", "10", "--k", "2"],
                  ["compare", "--q", "128", "--n", "6", "--k", "2"],
                  ["omega-stats", "--q", "128", "--n", "4"],
-                 ["qlimit", "--q", "128", "--n", "5", "--k", "2"],
-                 ["count", "--p", "2", "--e", "7", "--n", "3"]):
+                 ["qlimit", "--q", "128", "--n", "5", "--k", "2"]):
         code, out, _ = run_cli(capsys, argv)
         assert code == 0 and json.loads(out)["q"] == 128, argv
     for argv in (["ap", "--q", "128", "--d", "0,1", "--g", "1", "--n", "3", "--k", "1"],
                  ["interval", "--q", "128", "--g", "0,1", "--h", "0", "--k", "1"],
                  ["weil", "--q", "128", "--d", "0,1"]):
         assert run_cli(capsys, argv)[0] == 3, argv
-    # the field flags are still checked: X^7 + 1 is reducible over F_2, and
-    # a modulus coefficient outside [0, p) is refused, not reduced mod p
-    for argv in (["count", "--p", "2", "--e", "7", "--modulus", "1,0,0,0,0,0,0,1", "--n", "3"],
-                 ["count", "--p", "4", "--n", "3"],
-                 ["count", "--p", "3", "--modulus", "1,1", "--n", "3"],
-                 ["count", "--p", "2", "--e", "2", "--modulus", "1,1,3", "--n", "3"],
-                 ["count", "--p", "2", "--e", "2", "--modulus", "1,1,-1", "--n", "3"]):
-        code, out, err = run_cli(capsys, argv)
-        assert (code, out) == (2, "") and err.startswith("ffcount: "), argv
 
 
 BIG_P = 10**24 + 7  # prime, below the proven range of the Miller-Rabin bases
@@ -415,11 +440,9 @@ BIG_P = 10**24 + 7  # prime, below the proven range of the Miller-Rabin bases
     (["qlimit", "--q", str(BIG_P**13), "--n", "3", "--k", "2"], 0, ""),
     (["asym", "--q", str(BIG_P**13), "--n", "3", "--k", "2"], 2,
      f"q = {BIG_P**13} exceeds the double range"),
-    (["asym", "--p", str(BIG_P), "--e", "13", "--n", "3", "--k", "2"], 2,
-     f"q = {BIG_P**13} exceeds the double range"),
     (["ap", "--q", str(BIG_P**13), "--d", "0,1", "--g", "1", "--n", "3", "--k", "1"], 3,
      "exceeds the table limit 64"),
-], ids=["count", "qlimit", "asym", "asym-p-e", "ap"])
+], ids=["count", "qlimit", "asym", "ap"])
 def test_large_extension_degrees_search_no_default_modulus(capsys, argv, code, message):
     # (10^24 + 7)^13: a default modulus would be searched for among p^13
     # monics, so the commands that need only q must not look for one, and
@@ -458,6 +481,53 @@ def test_every_fixed_cap_exits_3_naming_it(capsys, argv, message):
     assert time.monotonic() - t0 < 10
     assert (code, out) == (3, "")
     assert err.startswith("ffcount: budget exceeded: ") and message in err, err
+
+
+X18 = ",".join(["0"] * 18 + ["1"])  # X^18: a unit group of order 2^17, past its cap
+
+
+@pytest.mark.parametrize("args, count", [
+    (f"ap --q 2 --d {X18} --g 1 --n 5 --k 0", "0"),
+    (f"ap --q 2 --d {X18} --g 1 --n 3 --k 9", "0"),
+    (f"ap --q 2 --d {X18} --g 1 --n 0 --k 0", "1"),
+    ("interval --q 2 --g " + ",".join(["1"] + ["0"] * 19 + ["1"]) + " --h 1 --k 0", "0"),
+], ids=["k-0", "k-past-max-omega", "degree-0", "interval-order-2^18"])
+def test_count_zero_by_degree_builds_no_group_past_its_cap(capsys, args, count):
+    # neither path builds the unit group when no term is live, so such a
+    # count answers at every group size; the degree-0 one is the empty product
+    code, out, err = run_cli(capsys, args.split())
+    assert code == 0, err
+    payload = json.loads(out)
+    assert (payload["exact"], payload["char_path"], payload["paths_agree"]) == (count, count, True)
+
+
+def test_qlimit_computes_its_sum_once(monkeypatch, capsys):
+    calls = []
+    real = asym.qlimit_sum
+
+    def counted(n, k):
+        calls.append((n, k))
+        return real(n, k)
+
+    monkeypatch.setattr(asym, "qlimit_sum", counted)
+    code, out, _ = run_cli(capsys, ["qlimit", "--q", "101", "--n", "50", "--k", "3"])
+    assert code == 0 and "count_lnAbs" in json.loads(out)
+    assert calls == [(50, 3)]
+
+
+def test_huge_q_is_refused_before_its_power_is_built(capsys):
+    # 2^100000 has more bits than the 600-bit cap allows at N = 1, so q^N
+    # is never built; its 30,103 digits need the int-to-str limit lifted
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        t0 = time.monotonic()
+        code, out, err = run_cli(capsys, ["count", "--q", str(2**100000), "--n", "1"])
+        elapsed = time.monotonic() - t0
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert elapsed < 2
+    assert (code, out) == (3, "") and "600-bit coefficient cap" in err, err
 
 
 @pytest.mark.parametrize("argv, code", [

@@ -225,6 +225,21 @@ def test_tables_default_to_every_column_a_degree_can_fill():
     assert ap_series(Poly.x(F3, 1), 12).K == max_omega(3, 12)
 
 
+@pytest.mark.parametrize("q, N", [(2, 600), (4, 300), (8, 200), (3, 378), (9, 189)])
+def test_coefficient_cap_is_q_to_the_N_at_most_2_to_the_600(q, N):
+    # q = 2, 4, 8 reach 2^600 exactly at N, which the cap still accepts
+    assert q**N <= 2**600 < q ** (N + 1)
+    exactcount._check_series_budget(q, N, 1, None)
+    with pytest.raises(BudgetExceededError, match="600-bit coefficient cap"):
+        exactcount._check_series_budget(q, N + 1, 1, None)
+
+
+def test_coefficient_cap_refuses_a_huge_q_before_its_power():
+    # q^N would have 10^11 bits; the bit length of q alone refuses it
+    with pytest.raises(BudgetExceededError, match="600-bit coefficient cap"):
+        exactcount._check_series_budget(2**100000, 10**6, 1, None)
+
+
 def test_brute_force_count_modes():
     assert brute_force_count(F2, 2, 1, "squarefree") == 1
     assert brute_force_count(F2, 2, 1, "all") == 3
